@@ -174,7 +174,7 @@ def backprop(net, tape, grad_output=None, hidden_grads=None):
             p = convs[i]
             grads[i] = (np.zeros_like(p.weight), np.zeros_like(p.bias))
             continue
-        gx, gw, gb = conv2d_backward(tape.conv_inputs[i], convs[i], g)
+        gx, gw, gb = conv2d_backward(tape.conv_inputs[i], convs[i], g, need_grad_x=i > 0)
         grads[i] = (gw, gb)
         g = gx
     return grads

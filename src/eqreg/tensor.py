@@ -3,14 +3,22 @@ exact Frobenius accumulation, and the EQT1 binary tensor format.
 
 Shape convention throughout the package: (B, C, H, W), C-order, float32 for
 training and float64 for numeric checks.
+
+Convolution is one GEMM over K-major columns: im2col lays the unfolded input
+out as (C*p*p, B*H*W), one row per (channel, kernel offset), so building it
+copies whole image rows and both the forward and the weight gradient read it
+in place. Only the (C_out, B*H*W) GEMM output is transposed back to NCHW.
+When the output is narrower than the input, building the columns would cost
+more than the GEMM, so the kernel picked by shape instead sums p*p GEMMs over
+shifted slices of the zero-padded input laid flat per channel.
 """
 
+import io
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE_TRAIN = np.float32
 DTYPE_CHECK = np.float64
@@ -62,36 +70,91 @@ class ConvParams:
 
 
 def _im2col(x, p):
-    """Zero-pad to same size and unfold p x p patches.
+    """Zero-pad to same size and unfold p x p patches, K-major.
 
-    Returns (B*H*W, C*p*p); rows ordered by (b, i, j), columns by (c, u, v).
+    Returns (C*p*p, B*H*W): row (c, u, v) is channel c of the padded input
+    shifted by (u, v); columns are ordered by (b, i, j). It is filled by p*p
+    strided slice copies whose contiguous runs are whole image rows.
     """
     b, c, h, w = x.shape
     r = (p - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)))
-    win = sliding_window_view(xp, (p, p), axis=(2, 3))  # (B, C, H, W, p, p)
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * p * p)
+    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r))).transpose(1, 0, 2, 3)
+    cols = np.empty((c, p, p, b, h, w), dtype=x.dtype)
+    for u in range(p):
+        for v in range(p):
+            cols[:, u, v] = xp[:, :, u : u + h, v : v + w]
+    return cols.reshape(c * p * p, b * h * w)
+
+
+def _pad_flat(x, p):
+    """Zero-pad to same size and lay the images end to end, per channel.
+
+    Returns (flat, n, offsets): flat is (C, n + tail) with n = B*(H+2r)*(W+2r).
+    For kernel tap (u, v) at offsets[u*p + v], flat[:, off : off + n] is the
+    padded input shifted by that tap, read at every padded position; the
+    positions with i < H and j < W are the 'same' convolution's outputs, and
+    the zero tail keeps the last image's slices in bounds.
+    """
+    b, c, h, w = x.shape
+    r = (p - 1) // 2
+    hp, wp = h + 2 * r, w + 2 * r
+    n = b * hp * wp
+    flat = np.zeros((c, n + 2 * r * wp + 2 * r), dtype=x.dtype)
+    flat[:, :n].reshape(c, b, hp, wp)[:, :, r : r + h, r : r + w] = x.transpose(1, 0, 2, 3)
+    return flat, n, [u * wp + v for u in range(p) for v in range(p)]
+
+
+def _correlate(x, w):
+    """sum_c x[b,c] * W[o,c] without bias, as an (O, B, H, W) array.
+
+    A narrow output (O < C, such as a network's last layer) sums p*p GEMMs on
+    shifted slices of the padded input, which reads far less than building
+    the C*p*p columns; otherwise one GEMM runs on the K-major columns.
+    """
+    b, c, h, wd = x.shape
+    o, _, p, _ = w.shape
+    if o >= c:
+        return (w.reshape(o, -1) @ _im2col(x, p)).reshape(o, b, h, wd)
+    flat, n, offsets = _pad_flat(x, p)
+    taps = w.reshape(o, c, p * p)
+    out = sum(taps[:, :, k] @ flat[:, off : off + n] for k, off in enumerate(offsets))
+    return out.reshape(o, b, h + p - 1, wd + p - 1)[:, :, :h, :wd]
+
+
+def _weight_grad(x, g, p):
+    """grad_w[o,c,u,v] = sum over (b, i, j) of g[b,o,i,j] * x[b,c,i+u-r,j+v-r].
+
+    The kernel follows the forward's choice by shape.
+    """
+    b, c, h, wd = x.shape
+    o = g.shape[1]
+    g_t = g.transpose(1, 0, 2, 3)
+    if o >= c:
+        return (g_t.reshape(o, -1) @ _im2col(x, p).T).reshape(o, c, p, p)
+    flat, n, offsets = _pad_flat(x, p)
+    g_flat = np.zeros((o, b, h + p - 1, wd + p - 1), dtype=g.dtype)
+    g_flat[:, :, :h, :wd] = g_t
+    g_flat = g_flat.reshape(o, n)
+    taps = [g_flat @ flat[:, off : off + n].T for off in offsets]
+    return np.stack(taps, axis=-1).reshape(o, c, p, p)
 
 
 def conv2d_forward(x, params):
     """Stride-1 'same' convolution: out[b,o] = sum_c x[b,c] * W[o,c] + bias[o]."""
     x = as_tensor4(x)
-    w = params.weight
-    b, c, h, wd = x.shape
+    c = x.shape[1]
     if c != params.in_channels:
         raise ValueError(f"input has {c} channels, weights expect {params.in_channels}")
-    o, p = params.out_channels, params.kernel_size
-    cols = _im2col(x, p)
-    out = cols @ w.reshape(o, -1).T + params.bias
-    return np.ascontiguousarray(out.reshape(b, h, wd, o).transpose(0, 3, 1, 2))
+    out = _correlate(x, params.weight) + params.bias[:, None, None, None]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
-def conv2d_backward(x, params, grad_out):
+def conv2d_backward(x, params, grad_out, need_grad_x=True):
     """Gradients of conv2d_forward w.r.t. input, weight and bias.
 
     grad_x is a correlation of grad_out with the spatially flipped,
-    channel-transposed kernel; grad_w re-derives the unfolded input.
-    Returns (grad_x, grad_w, grad_b).
+    channel-transposed kernel; grad_w re-reads the input with the kernel the
+    forward picks for this shape. Returns (grad_x, grad_w, grad_b); grad_x is None when need_grad_x is false.
     """
     x = as_tensor4(x)
     g = as_tensor4(grad_out, "grad_out")
@@ -101,10 +164,9 @@ def conv2d_backward(x, params, grad_out):
         raise ValueError(f"grad_out shape {g.shape} does not match forward output")
 
     grad_b = g.sum(axis=(0, 2, 3))
-
-    cols = _im2col(x, p)  # (B*H*W, C*p*p)
-    g_flat = g.transpose(0, 2, 3, 1).reshape(-1, o)
-    grad_w = (g_flat.T @ cols).reshape(o, c, p, p)
+    grad_w = _weight_grad(x, g, p)
+    if not need_grad_x:
+        return None, grad_w, grad_b
 
     w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     grad_x = conv2d_forward(g, ConvParams(w_flip, np.zeros(c, dtype=w.dtype)))
@@ -172,9 +234,12 @@ def read_tensor(fp):
     if len(raw_dims) < 4 * ndim:
         raise EqtFormatError("truncated EQT1 dims")
     shape = struct.unpack(f"<{ndim}I", raw_dims)
-    count = 1
-    for d in shape:
-        count *= d
+    count = math.prod(shape)
+    pos = fp.tell()
+    left = fp.seek(0, io.SEEK_END) - pos
+    fp.seek(pos)
+    if count * dtype.itemsize > left:  # before read(), which overflows on huge dims
+        raise EqtFormatError(f"truncated EQT1 payload, expected {count} scalars, {left} bytes left")
     payload = fp.read(count * dtype.itemsize)
     if len(payload) < count * dtype.itemsize:
         raise EqtFormatError(f"truncated EQT1 payload, expected {count} scalars")

@@ -152,6 +152,14 @@ class TestEval:
         p.write_bytes(b"\x00\x01\x02")
         assert run_cli("eval", "--ckpt", str(p), "--data", str(shard)) == 2
 
+    def test_huge_tensor_dims_are_io_error(self, tmp_path, trained, shard):
+        # a valid descriptor followed by an EQT1 record claiming 8 dims of 2^32 - 1
+        good = (trained / "ckpt_final.eqnet").read_bytes()
+        desc_end = 4 + int.from_bytes(good[:4], "little")
+        p = tmp_path / "huge.eqnet"
+        p.write_bytes(good[:desc_end] + b"EQT1" + bytes([0, 8]) + b"\xff\xff\xff\xff" * 8)
+        assert run_cli("eval", "--ckpt", str(p), "--data", str(shard)) == 2
+
 
 class TestMeasureEquiv:
     def test_writes_csv(self, tmp_path, trained, shard):

@@ -169,6 +169,23 @@ class TestBackpropPlumbing:
         grads = backprop(net, tape)
         assert all(not gw.any() and not gb.any() for gw, gb in grads)
 
+    def test_first_conv_skips_grad_x(self, monkeypatch):
+        from eqreg import model
+
+        calls = []
+        real = model.conv2d_backward
+
+        def recording(x, params, grad_out, need_grad_x=True):
+            calls.append(need_grad_x)
+            return real(x, params, grad_out, need_grad_x=need_grad_x)
+
+        monkeypatch.setattr(model, "conv2d_backward", recording)
+        net = small_net(seed=2)
+        x = np.random.default_rng(18).standard_normal((2, 1, 6, 6)).astype(np.float32)
+        out, tape = forward_with_tape(net, x)
+        backprop(net, tape, grad_output=np.ones_like(out))
+        assert calls == [True, True, False]  # reverse layer order; layer 0 last
+
     def test_hidden_grads_length_checked(self):
         net = small_net(seed=2)
         x = np.random.default_rng(17).standard_normal((1, 1, 6, 6)).astype(np.float32)

@@ -46,7 +46,16 @@ class TestConvForward:
         out = conv2d_forward(x, params)
         np.testing.assert_array_equal(out, np.broadcast_to(np.arange(5.0)[:, None, None], (2, 5, 4, 4)))
 
-    @pytest.mark.parametrize("shape,cout,p", [((2, 3, 5, 5), 4, 3), ((1, 1, 4, 6), 2, 5), ((3, 2, 3, 3), 1, 1)])
+    @pytest.mark.parametrize(
+        "shape,cout,p",
+        [
+            ((2, 3, 5, 5), 4, 3),
+            ((1, 1, 4, 6), 2, 5),
+            ((3, 2, 3, 3), 1, 1),
+            ((3, 4, 5, 7), 6, 3),
+            ((2, 5, 4, 6), 2, 5),  # fewer outputs than inputs: shifted-slice kernel
+        ],
+    )
     def test_matches_loop_reference(self, shape, cout, p):
         rng = np.random.default_rng(hash((shape, cout, p)) % 2**32)
         x = rng.standard_normal(shape)
@@ -99,23 +108,27 @@ class TestConvBackward:
         assert math.isclose(gw[0, 0, 0, 0], x.sum(), rel_tol=1e-12)
         assert math.isclose(gb[0], 18.0, rel_tol=1e-12)
 
-    def test_grad_x_adjoint_identity(self):
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 6), (3, 3, 5, 7)])
+    def test_grad_x_adjoint_identity(self, shape):
         # bias-free conv is linear in x: <conv(x), g> must equal <x, grad_x>
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 6, 6))
-        params = ConvParams(rng.standard_normal((4, 3, 3, 3)), np.zeros(4))
-        g = rng.standard_normal((2, 4, 6, 6))
+        b, c, h, w = shape
+        x = rng.standard_normal(shape)
+        params = ConvParams(rng.standard_normal((4, c, 3, 3)), np.zeros(4))
+        g = rng.standard_normal((b, 4, h, w))
         gx, _, _ = conv2d_backward(x, params, g)
         lhs = np.vdot(conv2d_forward(x, params), g)
         rhs = np.vdot(x, gx)
         assert rel_err(lhs, rhs) < 1e-12
 
+    @pytest.mark.parametrize("shape,cout", [((2, 2, 4, 4), 3), ((3, 2, 5, 7), 3), ((3, 4, 5, 7), 2)])
     @pytest.mark.parametrize("p", [1, 3, 5])
-    def test_finite_difference_all_parameter_kinds(self, p):
+    def test_finite_difference_all_parameter_kinds(self, p, shape, cout):
         rng = np.random.default_rng(10 + p)
-        x = rng.standard_normal((2, 2, 4, 4))
-        params = rand_params(rng, 3, 2, p)
-        g = rng.standard_normal((2, 3, 4, 4))
+        b, c, h, w = shape
+        x = rng.standard_normal(shape)
+        params = rand_params(rng, cout, c, p)
+        g = rng.standard_normal((b, cout, h, w))
         gx, gw, gb = conv2d_backward(x, params, g)
 
         def loss_of_w(w):
@@ -133,8 +146,18 @@ class TestConvBackward:
         for _ in range(8):
             idx = tuple(rng.integers(0, d) for d in x.shape)
             assert rel_err(central_difference(loss_of_x, x, idx), gx[idx]) < 1e-5
-        for i in range(3):
+        for i in range(cout):
             assert rel_err(central_difference(loss_of_b, params.bias, (i,)), gb[i]) < 1e-5
+
+    def test_skipping_grad_x_leaves_weight_grads_bitwise(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 2, 5, 7)).astype(np.float32)
+        params = rand_params(rng, 4, 2, 3, np.float32)
+        g = rng.standard_normal((3, 4, 5, 7)).astype(np.float32)
+        gx, gw, gb = conv2d_backward(x, params, g)
+        none, gw_only, gb_only = conv2d_backward(x, params, g, need_grad_x=False)
+        assert gx is not None and none is None
+        assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
 
     def test_grad_out_shape_rejected(self):
         rng = np.random.default_rng(4)
@@ -247,6 +270,11 @@ class TestEqt1:
     def test_integer_dtype_rejected_on_write(self):
         with pytest.raises(ValueError, match="float32/float64"):
             write_tensor(io.BytesIO(), np.arange(4))
+
+    def test_huge_dims_rejected_before_reading(self):
+        raw = b"EQT1" + bytes([0, 8]) + b"\xff\xff\xff\xff" * 8 + b"\x00" * 16
+        with pytest.raises(EqtFormatError, match="truncated"):
+            read_tensor(io.BytesIO(raw))
 
     def test_byte_layout_is_little_endian(self):
         buf = io.BytesIO()
