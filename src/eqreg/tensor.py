@@ -154,7 +154,8 @@ def conv2d_backward(x, params, grad_out, need_grad_x=True):
 
     grad_x is a correlation of grad_out with the spatially flipped,
     channel-transposed kernel; grad_w re-reads the input with the kernel the
-    forward picks for this shape. Returns (grad_x, grad_w, grad_b); grad_x is None when need_grad_x is false.
+    forward picks for this shape.
+    Returns (grad_x, grad_w, grad_b); grad_x is None when need_grad_x is false.
     """
     x = as_tensor4(x)
     g = as_tensor4(grad_out, "grad_out")
