@@ -108,8 +108,8 @@ class TestConvBackward:
         assert math.isclose(gw[0, 0, 0, 0], x.sum(), rel_tol=1e-12)
         assert math.isclose(gb[0], 18.0, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 6, 6), (3, 3, 5, 7)])
-    def test_grad_x_adjoint_identity(self, shape):
+    @staticmethod
+    def check_grad_x_adjoint(shape):
         # bias-free conv is linear in x: <conv(x), g> must equal <x, grad_x>
         rng = np.random.default_rng(3)
         b, c, h, w = shape
@@ -121,9 +121,14 @@ class TestConvBackward:
         rhs = np.vdot(x, gx)
         assert rel_err(lhs, rhs) < 1e-12
 
-    @pytest.mark.parametrize("shape,cout", [((2, 2, 4, 4), 3), ((3, 2, 5, 7), 3), ((3, 4, 5, 7), 2)])
-    @pytest.mark.parametrize("p", [1, 3, 5])
-    def test_finite_difference_all_parameter_kinds(self, p, shape, cout):
+    def test_grad_x_adjoint_identity(self):
+        self.check_grad_x_adjoint((2, 3, 6, 6))
+
+    def test_grad_x_adjoint_identity_batched_non_square(self):
+        self.check_grad_x_adjoint((3, 3, 5, 7))
+
+    @staticmethod
+    def check_finite_difference(p, shape, cout):
         rng = np.random.default_rng(10 + p)
         b, c, h, w = shape
         x = rng.standard_normal(shape)
@@ -148,6 +153,16 @@ class TestConvBackward:
             assert rel_err(central_difference(loss_of_x, x, idx), gx[idx]) < 1e-5
         for i in range(cout):
             assert rel_err(central_difference(loss_of_b, params.bias, (i,)), gb[i]) < 1e-5
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_finite_difference_all_parameter_kinds(self, p):
+        self.check_finite_difference(p, (2, 2, 4, 4), 3)
+
+    # (3, 4, 5, 7) with 2 outputs is narrower than its input: shifted-slice kernel
+    @pytest.mark.parametrize("shape,cout", [((3, 2, 5, 7), 3), ((3, 4, 5, 7), 2)])
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_finite_difference_batched_non_square(self, p, shape, cout):
+        self.check_finite_difference(p, shape, cout)
 
     def test_skipping_grad_x_leaves_weight_grads_bitwise(self):
         rng = np.random.default_rng(12)
