@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 I/O or format error, 3 non-finite loss.
 
 BLAS thread caps must be in the environment before numpy loads, so the heavy
 imports live inside the handlers and main() touches os.environ first.
-EQREG_THREADS controls batch-axis worker threads (default 1); BLAS itself
-stays single-threaded unless the caller already pinned it otherwise.
+EQREG_THREADS sets the batch worker threads of train, eval and measure-equiv
+(default 1); BLAS stays single-threaded unless the caller pinned it otherwise.
 """
 
 import argparse
@@ -157,22 +157,24 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     from .model import load_checkpoint
-    from .trainer import evaluate
+    from .trainer import batch_executor, evaluate
 
     net = load_checkpoint(args.ckpt)
     data = _load_shard(args.data)
-    res = evaluate(net, data)
+    with batch_executor(_threads()) as executor:
+        res = evaluate(net, data, executor=executor)
     print(f"mean_psnr={res.mean_psnr:.6f} over {len(data)} images")
     return 0
 
 
 def _cmd_measure_equiv(args):
     from .model import load_checkpoint
-    from .trainer import measure_equivariance
+    from .trainer import batch_executor, measure_equivariance
 
     net = load_checkpoint(args.ckpt)
     data = _load_shard(args.data)
-    report = measure_equivariance(net, data)
+    with batch_executor(_threads()) as executor:
+        report = measure_equivariance(net, data, executor=executor)
     header, rows = report.csv_rows()
     with open(args.out, "w", encoding="ascii") as fp:
         fp.write(",".join(header) + "\n")

@@ -179,8 +179,13 @@ def relu_forward(x):
 
 
 def relu_backward(x, grad_out):
-    """Pass gradient where the forward input was strictly positive."""
-    return np.where(x > 0, grad_out, 0).astype(grad_out.dtype, copy=False)
+    """Pass gradient where the forward input was strictly positive.
+
+    ANDs grad_out's bits with an all-ones or all-zeros mask: kept entries pass
+    unchanged (NaN and -0 included) and the rest become +0.
+    """
+    bits = np.dtype(f"u{grad_out.dtype.itemsize}")
+    return (grad_out.view(bits) & -(x > 0).astype(bits)).view(grad_out.dtype)
 
 
 def frobenius_sq(x):

@@ -6,13 +6,15 @@ penalty across both, and takes an Adam step on the exact gradient. Reported
 losses use fast float64 accumulation; the exactly-rounded variants live in
 eqreg.losses. With cfg.threads > 1 the batch is split along the batch axis
 into fixed chunks whose partial sums combine in a fixed order, so a given
-thread setting is deterministic run to run.
+thread setting is deterministic run to run. The meter and evaluate stream
+fixed batches on the same workers, so their reports ignore the thread count.
 """
 
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -117,6 +119,11 @@ class TrainState:
     executor: ThreadPoolExecutor | None = None
 
 
+def batch_executor(threads):
+    """Context yielding the batch workers: a thread pool, or None at one thread."""
+    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
 def init_state(net, cfg):
     return TrainState(net, AdamState.zeros(net), np.random.default_rng(cfg.seed))
 
@@ -182,19 +189,10 @@ def train_step(state, batch, cfg):
     denoms_equi = [b * width * h * w] * net.n_hidden_layers
     denom_out = b * net.out_channels * h * w
 
-    if cfg.threads > 1:
-        bounds = np.array_split(np.arange(b), min(cfg.threads, b))
-        jobs = [
-            (net, x[ix], clean[ix], k, cfg, denom_task, denoms_equi, denom_out)
-            for ix in bounds
-            if len(ix)
-        ]
-        if state.executor is not None:
-            parts = list(state.executor.map(lambda a: _objective_chunk(*a), jobs))
-        else:
-            parts = [_objective_chunk(*a) for a in jobs]
-    else:
-        parts = [_objective_chunk(net, x, clean, k, cfg, denom_task, denoms_equi, denom_out)]
+    bounds = np.array_split(np.arange(b), min(cfg.threads, b))
+    jobs = [(net, x[ix], clean[ix], k, cfg, denom_task, denoms_equi, denom_out) for ix in bounds]
+    run = map if state.executor is None else state.executor.map
+    parts = list(run(lambda a: _objective_chunk(*a), jobs))
 
     task_sq = sum(p[0] for p in parts)
     equi_sqs = [sum(p[1][i] for p in parts) for i in range(net.n_hidden_layers)]
@@ -221,36 +219,13 @@ def train_step(state, batch, cfg):
 
 # --- evaluation -------------------------------------------------------------------
 
+METER_BATCH = 8  # images per meter and eval batch; smaller batches ran faster and peak lower
+
 
 @dataclass
 class EvalResult:
     mean_psnr: float
     per_image: np.ndarray
-
-
-def _forward_batched(net, inputs, batch_size):
-    outs = []
-    hidden = None
-    for lo in range(0, inputs.shape[0], batch_size):
-        out, tape = forward_with_tape(net, inputs[lo : lo + batch_size])
-        outs.append(out)
-        if hidden is None:
-            hidden = [[h] for h in tape.hidden]
-        else:
-            for acc, h in zip(hidden, tape.hidden):
-                acc.append(h)
-    outs = np.concatenate(outs) if outs else inputs[:0]
-    hidden = [np.concatenate(acc) for acc in hidden] if hidden else []
-    return outs, hidden
-
-
-def evaluate(net, dataset, batch_size=64):
-    """Mean PSNR of the restored stack against the clean stack."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    outs, _ = _forward_batched(net, dataset.inputs(), batch_size)
-    per = np.array([psnr(o, c) for o, c in zip(outs, dataset.clean)])
-    return EvalResult(float(per.mean()), per)
 
 
 def _per_image_norms(x):
@@ -296,32 +271,56 @@ class EquivReport:
         return header, rows
 
 
-def measure_equivariance(net, dataset, batch_size=64):
+def _meter_columns(net, dataset, clean, ks, batch_size, executor):
+    """Per-image columns over the dataset, computed in batches, joined in batch order.
+
+    Column 0 holds the PSNRs against clean (NaN without clean; feature
+    extractors have no restoration PSNR). Then come the norms of the output
+    and of each hidden map, then for each k in ks the norms of their
+    equivariance errors, in the same order. Only these vectors outlive a
+    batch, so memory does not grow with the dataset. Batches run on executor
+    when one is given; the columns do not depend on it.
+    """
+    inputs, group = dataset.inputs(), net.group
+
+    def batch(lo):
+        x = inputs[lo : lo + batch_size]
+        out, tape = forward_with_tape(net, x)
+        ref = None if clean is None else clean[lo : lo + batch_size]
+        cols = [np.full(len(x), np.nan) if ref is None else np.array([psnr(o, c) for o, c in zip(out, ref)])]
+        cols += [_per_image_norms(a) for a in (out, *tape.hidden)]
+        for k in ks:
+            rot_out, rot_tape = forward_with_tape(net, group.rotate_image(x, k))
+            cols.append(_per_image_norms(rot_out - group.rotate_image(out, k)))
+            cols += [_per_image_norms(r - group.feature_transform(h, k))
+                     for h, r in zip(tape.hidden, rot_tape.hidden)]
+        return cols
+
+    parts = (map if executor is None else executor.map)(batch, range(0, len(inputs), batch_size))
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def evaluate(net, dataset, batch_size=METER_BATCH, executor=None):
+    """Mean PSNR of the restored stack against the clean stack."""
+    if len(dataset) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
+    per = _meter_columns(net, dataset, dataset.clean, (), batch_size, executor)[0]
+    return EvalResult(float(per.mean()), per)
+
+
+def measure_equivariance(net, dataset, batch_size=METER_BATCH, executor=None):
     """Dataset-mean relative output and per-layer feature errors for every k >= 1."""
     if len(dataset) == 0:
         raise ValueError("cannot measure equivariance on an empty dataset")
-    group = net.group
-    inputs = dataset.inputs()
-    base_out, base_hidden = _forward_batched(net, inputs, batch_size)
-    base_out_norm = _per_image_norms(base_out)
-    base_hidden_norm = [_per_image_norms(h) for h in base_hidden]
-
+    order = net.group.order
+    clean = dataset.clean if net.out_channels == dataset.clean.shape[1] else None
+    psnrs, *cols = _meter_columns(net, dataset, clean, range(1, order), batch_size, executor)
+    n_maps = len(cols) // order
     output_errors, feature_errors = {}, {}
-    for k in range(1, group.order):
-        rot_out, rot_hidden = _forward_batched(net, group.rotate_image(inputs, k), batch_size)
-        num = _per_image_norms(rot_out - group.rotate_image(base_out, k))
-        output_errors[k] = float(np.mean(_rel_errors(num, base_out_norm)))
-        feats = []
-        for h_base, h_rot, h_norm in zip(base_hidden, rot_hidden, base_hidden_norm):
-            fnum = _per_image_norms(h_rot - group.feature_transform(h_base, k))
-            feats.append(float(np.mean(_rel_errors(fnum, h_norm))))
-        feature_errors[k] = feats
-
-    if base_out.shape == dataset.clean.shape:
-        score = float(np.mean([psnr(o, c) for o, c in zip(base_out, dataset.clean)]))
-    else:
-        score = float("nan")  # feature extractors have no restoration PSNR
-    return EquivReport(score, output_errors, feature_errors)
+    for k in range(1, order):
+        rel = [float(np.mean(_rel_errors(e, n))) for e, n in zip(cols[k * n_maps :], cols[:n_maps])]
+        output_errors[k], feature_errors[k] = rel[0], rel[1:]
+    return EquivReport(float(np.mean(psnrs)), output_errors, feature_errors)
 
 
 # --- full runs ---------------------------------------------------------------------
@@ -344,8 +343,6 @@ def train(net, train_data, cfg, eval_data=None, out_dir=None):
         raise ValueError("cannot train on an empty dataset")
     out_dir = out_dir or cfg.out_dir
     state = init_state(net, cfg)
-    if cfg.threads > 1:
-        state.executor = ThreadPoolExecutor(max_workers=cfg.threads)
     inputs = train_data.inputs()
     clean = train_data.clean
     n = inputs.shape[0]
@@ -365,12 +362,12 @@ def train(net, train_data, cfg, eval_data=None, out_dir=None):
 
     rows = []
     report = None
-    try:
+    with batch_executor(cfg.threads) as state.executor:
         for _ in range(cfg.steps):
             idx = state.rng.integers(0, n, size=cfg.batch_size)
             losses = train_step(state, (inputs[idx], clean[idx]), cfg)
             if state.step % cfg.eval_period == 0 or state.step == cfg.steps:
-                report = measure_equivariance(state.net, measured)
+                report = measure_equivariance(state.net, measured, executor=state.executor)
                 report.step = state.step
                 row = {
                     "step": state.step,
@@ -389,9 +386,6 @@ def train(net, train_data, cfg, eval_data=None, out_dir=None):
                         fp.write(",".join(_fmt(row[c]) for c in columns) + "\n")
                 if out_dir:
                     save_checkpoint(os.path.join(out_dir, f"ckpt_{state.step:06d}.eqnet"), state.net)
-    finally:
-        if state.executor is not None:
-            state.executor.shutdown()
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "ckpt_final.eqnet"), state.net)
     return state.net, rows, report

@@ -1,8 +1,13 @@
 """Slow, independent reference implementations used to cross-check the library.
 
 Everything here is written from the definitions with explicit loops; no code
-is shared with the package internals.
+is shared with the package internals. The one exception is the whole-shard
+equivariance meter, which runs the package's forward pass and group actions
+the way the meter did before it streamed, so the streamed meter can be held
+to it bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -74,3 +79,50 @@ def frob_sq_pairs(a, b):
     for x, y in zip(np.ravel(a), np.ravel(b)):
         total += (float(x) - float(y)) ** 2
     return total
+
+
+def measure_equivariance_whole_shard(net, dataset, batch_size=64):
+    """The meter before streaming: whole-shard outputs and hidden maps, then norms.
+
+    Forwards run in batches of batch_size, their outputs and hidden maps are
+    concatenated for the whole shard, once for the plain input and once per
+    rotation k, and the per-image norms are taken over those stacks.
+    Returns (psnr, output_errors, feature_errors).
+    """
+    from eqreg.model import forward_with_tape
+
+    group = net.group
+
+    def forward_stack(inputs):
+        outs, hidden = [], []
+        for lo in range(0, inputs.shape[0], batch_size):
+            out, tape = forward_with_tape(net, inputs[lo : lo + batch_size])
+            outs.append(out)
+            hidden.append(tape.hidden)
+        return np.concatenate(outs), [np.concatenate(maps) for maps in zip(*hidden)]
+
+    def norms(x):
+        return np.sqrt(np.sum(np.square(x, dtype=np.float64), axis=(1, 2, 3)))
+
+    def mean_rel(num, den):
+        safe = np.where(den > 0, den, 1.0)
+        return float(np.mean(np.where(den > 0, num / safe, np.where(num == 0, 0.0, np.inf))))
+
+    inputs = dataset.inputs()
+    base_out, base_hidden = forward_stack(inputs)
+    output_errors, feature_errors = {}, {}
+    for k in range(1, group.order):
+        rot_out, rot_hidden = forward_stack(group.rotate_image(inputs, k))
+        output_errors[k] = mean_rel(norms(rot_out - group.rotate_image(base_out, k)), norms(base_out))
+        feature_errors[k] = [
+            mean_rel(norms(h_rot - group.feature_transform(h, k)), norms(h))
+            for h, h_rot in zip(base_hidden, rot_hidden)
+        ]
+
+    if base_out.shape != dataset.clean.shape:
+        return float("nan"), output_errors, feature_errors
+    psnrs = []
+    for o, c in zip(base_out, dataset.clean):
+        mse = float(np.mean(np.square(o - c, dtype=np.float64)))
+        psnrs.append(99.0 if mse == 0.0 else -10.0 * math.log10(mse))
+    return float(np.mean(psnrs)), output_errors, feature_errors

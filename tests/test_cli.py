@@ -217,3 +217,26 @@ class TestThreadsEnv:
             "--steps", "2", env_extra={"EQREG_THREADS": "2"},
         )
         assert res.returncode == 0, res.stderr
+
+    def test_measure_equiv_csv_same_at_two_threads(self, tmp_path, trained, shard):
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"equiv{threads}.csv"
+            res = run_subprocess(
+                "measure-equiv", "--ckpt", str(trained / "ckpt_final.eqnet"),
+                "--data", str(shard), "--out", str(out), env_extra={"EQREG_THREADS": threads},
+            )
+            assert res.returncode == 0, res.stderr
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_eval_same_at_two_threads(self, trained, shard):
+        outs = [
+            run_subprocess(
+                "eval", "--ckpt", str(trained / "ckpt_final.eqnet"), "--data", str(shard),
+                env_extra={"EQREG_THREADS": threads},
+            )
+            for threads in ("1", "2")
+        ]
+        assert all(r.returncode == 0 for r in outs), [r.stderr for r in outs]
+        assert outs[0].stdout == outs[1].stdout

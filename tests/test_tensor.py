@@ -197,6 +197,18 @@ class TestRelu:
         x = np.array([[[[-1.0, 0.0], [2.0, 3.0]]]])
         g = np.ones_like(x)
         np.testing.assert_array_equal(relu_backward(x, g), [[[[0.0, 0.0], [1.0, 1.0]]]])
+        # every pairing of specials in either argument, bit for bit against the
+        # select: kept entries pass unchanged (NaN, -0 and infinities included),
+        # all others become +0, and a NaN pre-activation passes nothing
+        for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
+            tiny = np.finfo(dtype).smallest_subnormal
+            vals = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5, tiny, -tiny], dtype=dtype)
+            xs, gs = (v.reshape(1, 1, len(vals), len(vals)) for v in np.meshgrid(vals, vals))
+            got = relu_backward(xs, gs)
+            want = np.where(xs > 0, gs, dtype(0.0))
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.view(bits), want.view(bits))
+            assert not np.signbit(got[xs <= 0]).any() and not np.isnan(got[np.isnan(xs)]).any()
 
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(6)
