@@ -21,7 +21,6 @@ _EXPORTS = {
     # group
     "RotationGroup": "group",
     # model
-    "LayerSpec": "model",
     "Network": "model",
     "Tape": "model",
     "forward_with_tape": "model",

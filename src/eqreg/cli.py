@@ -1,6 +1,7 @@
 """Command line frontend: gen-data, train, eval, measure-equiv, dump-features.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or format error, 3 non-finite loss.
+Exit codes: 0 success, 1 usage error, 2 I/O or format error, 3 non-finite loss
+or weight update.
 
 BLAS thread caps must be in the environment before numpy loads, so the heavy
 imports live inside the handlers and main() touches os.environ first.
@@ -98,13 +99,8 @@ def _cmd_gen_data(args):
     return 0
 
 
-def _load_shard(path):
-    from .data import read_shard
-
-    return read_shard(path)
-
-
 def _cmd_train(args):
+    from .data import read_shard
     from .group import RotationGroup
     from .losses import EqRegConfig
     from .model import build_network, init_weights
@@ -117,8 +113,8 @@ def _cmd_train(args):
             "equivariance holds only approximately",
             file=sys.stderr,
         )
-    data = _load_shard(args.data)
-    eval_data = _load_shard(args.eval_data) if args.eval_data else None
+    data = read_shard(args.data)
+    eval_data = read_shard(args.eval_data) if args.eval_data else None
     net = build_network(
         data.inputs().shape[1],
         data.clean.shape[1],
@@ -156,11 +152,12 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    from .data import read_shard
     from .model import load_checkpoint
     from .trainer import batch_executor, evaluate
 
     net = load_checkpoint(args.ckpt)
-    data = _load_shard(args.data)
+    data = read_shard(args.data)
     with batch_executor(_threads()) as executor:
         res = evaluate(net, data, executor=executor)
     print(f"mean_psnr={res.mean_psnr:.6f} over {len(data)} images")
@@ -168,11 +165,12 @@ def _cmd_eval(args):
 
 
 def _cmd_measure_equiv(args):
+    from .data import read_shard
     from .model import load_checkpoint
     from .trainer import batch_executor, measure_equivariance
 
     net = load_checkpoint(args.ckpt)
-    data = _load_shard(args.data)
+    data = read_shard(args.data)
     with batch_executor(_threads()) as executor:
         report = measure_equivariance(net, data, executor=executor)
     header, rows = report.csv_rows()

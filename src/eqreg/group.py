@@ -110,13 +110,7 @@ class RotationGroup:
 
     def rotate_image(self, x, k):
         """Counterclockwise rotation of the spatial axes by 2*pi*k/order."""
-        x = self._check_square(x)
-        self._check_k(k)
-        quarters, rem = divmod(4 * k, self.order)
-        if rem == 0:
-            return np.ascontiguousarray(np.rot90(x, quarters, axes=(-2, -1)))
-        plan, _ = _plan_pair(x.shape[-1], self.order, k)
-        return _apply_plan(plan, x)
+        return self._rotate(x, k, adjoint=False)
 
     def rotate_image_adjoint(self, x, k):
         """Adjoint of rotate_image under the Frobenius inner product.
@@ -124,13 +118,16 @@ class RotationGroup:
         Exact inverse rotation for quarter turns; matrix transpose of the
         resampling plan otherwise (not itself a rotation).
         """
+        return self._rotate(x, k, adjoint=True)
+
+    def _rotate(self, x, k, adjoint):
         x = self._check_square(x)
         self._check_k(k)
         quarters, rem = divmod(4 * k, self.order)
         if rem == 0:
-            return np.ascontiguousarray(np.rot90(x, -quarters, axes=(-2, -1)))
-        _, plan_t = _plan_pair(x.shape[-1], self.order, k)
-        return _apply_plan(plan_t, x)
+            return np.ascontiguousarray(np.rot90(x, -quarters if adjoint else quarters, axes=(-2, -1)))
+        plan, plan_t = _plan_pair(x.shape[-1], self.order, k)
+        return _apply_plan(plan_t if adjoint else plan, x)
 
     def cyclic_shift(self, f, m):
         """Shift channel blocks so out block g = in block (g - m) mod order."""

@@ -4,14 +4,16 @@ For a group element k, each regularization point contributes
 ||FT_k(h_plain) - h_rot||_F^2 where h_plain comes from the clean-orientation
 branch, h_rot from the branch fed the k-rotated input, and FT_k is the
 feature transform. Gradients flow through both branches: the rotated side
-sees -2 D, the plain side the feature-transform adjoint of 2 D.
+sees -2 D, the plain side the feature-transform adjoint of 2 D. mismatch
+computes that block for any action, so the output-consistency term (spatial
+rotation only) shares it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import backprop
+from .model import add_grads, backprop
 from .tensor import frobenius_sq
 
 
@@ -40,7 +42,8 @@ class EqRegConfig:
             raise ValueError(f"output_consistency_weight must be >= 0, got {self.output_consistency_weight}")
 
 
-def _reduce(sq, numel, cfg):
+def reduce_sq(sq, numel, cfg):
+    """A squared sum over numel elements as a loss term under cfg.reduction."""
     return sq / numel if cfg.reduction == "mean" else sq
 
 
@@ -61,7 +64,7 @@ def layer_loss(f_plain, f_rotated, k, group, cfg):
     if f_plain.shape != f_rotated.shape:
         raise ValueError(f"branch shapes differ: {f_plain.shape} vs {f_rotated.shape}")
     diff = group.feature_transform(f_plain, k) - f_rotated
-    return _reduce(frobenius_sq(diff), diff.size, cfg)
+    return reduce_sq(frobenius_sq(diff), diff.size, cfg)
 
 
 def equi_loss(tape_plain, tape_rotated, k, group, cfg):
@@ -79,7 +82,7 @@ def output_consistency_loss(y_plain, y_rotated, k, group, cfg):
     if y_plain.shape != y_rotated.shape:
         raise ValueError(f"output shapes differ: {y_plain.shape} vs {y_rotated.shape}")
     diff = group.rotate_image(y_plain, k) - y_rotated
-    return _reduce(frobenius_sq(diff), diff.size, cfg)
+    return reduce_sq(frobenius_sq(diff), diff.size, cfg)
 
 
 def total_loss(task, equi, cfg, output_consistency=0.0):
@@ -90,26 +93,36 @@ def total_loss(task, equi, cfg, output_consistency=0.0):
     return total
 
 
-def equi_injections(tape_plain, tape_rotated, k, group, cfg, numel_override=None):
+def mismatch(plain, rotated, k, act, act_adjoint, numel, cfg, weight=1.0):
+    """One comparison D = act(plain, k) - rotated with its gradients.
+
+    act is a group action with act_adjoint its adjoint: rotate_image for the
+    output, feature_transform for a hidden feature. The term is weight times
+    reduce_sq(||D||^2, numel), with numel the element count of the whole
+    batch, so results of batch chunks add up. Returns the float64-accumulated
+    squared sum (fast, not exactly rounded) and the gradients s act*(D) for
+    the plain side and -s D for the rotated side, s = weight * reduce_sq(2).
+    """
+    d = act(plain, k) - rotated
+    sq = float(np.sum(np.square(d, dtype=np.float64)))
+    s = weight * reduce_sq(2.0, numel, cfg)
+    return sq, act_adjoint(s * d, k), -s * d
+
+
+def equi_injections(tape_plain, tape_rotated, k, group, cfg, numels):
     """Per-layer gradient injections plus fast squared sums for the equi term.
 
-    The rotated branch receives -s D, the plain branch the feature-transform
-    adjoint of s D, with s = 2 / numel under mean reduction and 2 otherwise.
-    numel_override supplies full-batch element counts when the caller splits
-    a batch into chunks; the squared sums use float64 accumulation (fast, not
-    exactly rounded; layer_loss is the exact variant).
-    Returns (inject_plain, inject_rotated, sq_sums).
+    numels[i] is the element count that layer i's term is reduced over (see
+    mismatch). Returns (inject_plain, inject_rotated, sq_sums).
     """
     if len(tape_plain) != len(tape_rotated):
         raise ValueError(f"tapes record {len(tape_plain)} vs {len(tape_rotated)} points")
     inject_plain, inject_rot, sq_sums = [], [], []
-    for i, (hp, hr) in enumerate(zip(tape_plain.hidden, tape_rotated.hidden)):
-        d = group.feature_transform(hp, k) - hr
-        sq_sums.append(float(np.sum(np.square(d, dtype=np.float64))))
-        numel = numel_override[i] if numel_override is not None else d.size
-        scale = 2.0 / numel if cfg.reduction == "mean" else 2.0
-        inject_plain.append(group.feature_transform_adjoint(scale * d, k))
-        inject_rot.append(-scale * d)
+    for hp, hr, n in zip(tape_plain.hidden, tape_rotated.hidden, numels, strict=True):
+        sq, gp, gr = mismatch(hp, hr, k, group.feature_transform, group.feature_transform_adjoint, n, cfg)
+        sq_sums.append(sq)
+        inject_plain.append(gp)
+        inject_rot.append(gr)
     return inject_plain, inject_rot, sq_sums
 
 
@@ -119,7 +132,8 @@ def equi_loss_backward(net, tape_plain, tape_rotated, k, cfg):
     Runs the reverse sweep through both branches with the injections from
     equi_injections. Returns [(grad_w, grad_b), ...] per conv layer.
     """
-    inject_plain, inject_rot, _ = equi_injections(tape_plain, tape_rotated, k, net.group, cfg)
+    numels = [h.size for h in tape_plain.hidden]
+    inject_plain, inject_rot, _ = equi_injections(tape_plain, tape_rotated, k, net.group, cfg, numels)
     gp = backprop(net, tape_plain, hidden_grads=inject_plain)
     gr = backprop(net, tape_rotated, hidden_grads=inject_rot)
-    return [(wp + wr, bp + br) for (wp, bp), (wr, br) in zip(gp, gr)]
+    return add_grads(gp, gr)

@@ -1,15 +1,16 @@
 """Plain convolutional restoration networks with tape-recording forward passes.
 
-A network is an alternating conv/relu stack that starts and ends with a conv.
-Hidden activations (post-relu) are the regularization points recorded on the
-tape; the final conv output optionally gets a residual add of the leading
-input channels. Also provides a one-layer lifting convolution whose output is
-exactly equivariant for quarter-turn groups, used as an oracle elsewhere.
+A network is a list of convs with a relu after every conv but the last, so
+the list alone fixes the conv/relu stack. Hidden activations (post-relu) are
+the regularization points recorded on the tape; the final conv output
+optionally gets a residual add of the leading input channels. Also provides
+a one-layer lifting convolution whose output is exactly equivariant for
+quarter-turn groups, used as an oracle elsewhere.
 """
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,35 +31,17 @@ CHECKPOINT_VERSION = "eqnet1"
 
 
 @dataclass
-class LayerSpec:
-    kind: str  # "conv" | "relu"
-    params: ConvParams | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("conv", "relu"):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if (self.kind == "conv") != (self.params is not None):
-            raise ValueError(f"layer kind {self.kind!r} inconsistent with params presence")
-
-
-@dataclass
 class Network:
-    """Conv/relu stack; weights are replaced between steps, never in place."""
+    """Conv stack with relus in between; weights are replaced between steps, never in place."""
 
-    layers: list[LayerSpec]
+    conv_params: list[ConvParams]
     group: RotationGroup
     n_hidden: int
     residual: bool = True
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
-        for i, spec in enumerate(self.layers):
-            want = "conv" if i % 2 == 0 else "relu"
-            if spec.kind != want:
-                raise ValueError(f"layer {i} must be {want!r} in an alternating stack, got {spec.kind!r}")
-        if self.layers[-1].kind != "conv":
-            raise ValueError("network must end with a conv layer")
+        if not self.conv_params:
+            raise ValueError("network needs at least one conv")
         convs = self.conv_params
         for a, b in zip(convs, convs[1:]):
             if b.in_channels != a.out_channels:
@@ -77,16 +60,12 @@ class Network:
             )
 
     @property
-    def conv_params(self):
-        return [s.params for s in self.layers if s.kind == "conv"]
-
-    @property
     def in_channels(self):
-        return self.layers[0].params.in_channels
+        return self.conv_params[0].in_channels
 
     @property
     def out_channels(self):
-        return self.layers[-1].params.out_channels
+        return self.conv_params[-1].out_channels
 
     @property
     def n_hidden_layers(self):
@@ -95,29 +74,26 @@ class Network:
     def set_conv_params(self, new_params):
         """Swap in one ConvParams per conv layer, preserving structure."""
         new_params = list(new_params)
-        convs = [s for s in self.layers if s.kind == "conv"]
-        if len(new_params) != len(convs):
-            raise ValueError(f"expected {len(convs)} param sets, got {len(new_params)}")
-        for spec, p in zip(convs, new_params):
-            if p.weight.shape != spec.params.weight.shape:
-                raise ValueError(
-                    f"weight shape changed: {spec.params.weight.shape} -> {p.weight.shape}"
-                )
-            spec.params = p
+        if len(new_params) != len(self.conv_params):
+            raise ValueError(f"expected {len(self.conv_params)} param sets, got {len(new_params)}")
+        for old, p in zip(self.conv_params, new_params):
+            if p.weight.shape != old.weight.shape:
+                raise ValueError(f"weight shape changed: {old.weight.shape} -> {p.weight.shape}")
+        self.conv_params = new_params
 
 
 @dataclass
 class Tape:
     """Activations recorded by forward_with_tape, in layer order.
 
-    hidden holds the post-relu regularization points; conv_inputs and
-    pre_activations carry what the backward sweep needs.
+    hidden holds the post-relu regularization points, which are also the
+    inputs of every conv after the first; input is the first conv's input.
+    pre_activations holds what the relu backward needs.
     """
 
-    conv_inputs: list
+    input: np.ndarray
     pre_activations: list
     hidden: list
-    output: np.ndarray
 
     def __len__(self):
         return len(self.hidden)
@@ -131,24 +107,20 @@ def forward_with_tape(net, x):
     """
     if isinstance(net, LiftingConvOracle):
         out = lifting_forward(net, x)
-        return out, Tape(conv_inputs=[x], pre_activations=[], hidden=[out], output=out)
+        return out, Tape(input=x, pre_activations=[], hidden=[out])
     x = as_tensor4(x)
     if x.shape[1] != net.in_channels:
         raise ValueError(f"input has {x.shape[1]} channels, network expects {net.in_channels}")
-    conv_inputs, pre_acts, hidden = [], [], []
-    convs = net.conv_params
+    pre_acts, hidden = [], []
     h = x
-    for i, p in enumerate(convs):
-        conv_inputs.append(h)
+    for p in net.conv_params[:-1]:
         z = conv2d_forward(h, p)
-        if i < len(convs) - 1:
-            pre_acts.append(z)
-            h = relu_forward(z)
-            hidden.append(h)
-        else:
-            h = z
+        pre_acts.append(z)
+        h = relu_forward(z)
+        hidden.append(h)
+    h = conv2d_forward(h, net.conv_params[-1])
     out = h + x[:, : net.out_channels] if net.residual else h
-    return out, Tape(conv_inputs, pre_acts, hidden, out)
+    return out, Tape(x, pre_acts, hidden)
 
 
 def backprop(net, tape, grad_output=None, hidden_grads=None):
@@ -174,10 +146,16 @@ def backprop(net, tape, grad_output=None, hidden_grads=None):
             p = convs[i]
             grads[i] = (np.zeros_like(p.weight), np.zeros_like(p.bias))
             continue
-        gx, gw, gb = conv2d_backward(tape.conv_inputs[i], convs[i], g, need_grad_x=i > 0)
+        x = tape.hidden[i - 1] if i > 0 else tape.input
+        gx, gw, gb = conv2d_backward(x, convs[i], g, need_grad_x=i > 0)
         grads[i] = (gw, gb)
         g = gx
     return grads
+
+
+def add_grads(a, b):
+    """Elementwise sum of two per-conv [(grad_w, grad_b), ...] lists."""
+    return [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(a, b)]
 
 
 def build_network(in_channels, out_channels, group, n_hidden=8, depth=3, kernel_size=3,
@@ -187,14 +165,11 @@ def build_network(in_channels, out_channels, group, n_hidden=8, depth=3, kernel_
         raise ValueError(f"depth must be >= 1, got {depth}")
     width = n_hidden * group.order
     sizes = [in_channels] + [width] * (depth - 1) + [out_channels]
-    layers = []
-    for i in range(depth):
-        if i > 0:
-            layers.append(LayerSpec("relu"))
-        w = np.zeros((sizes[i + 1], sizes[i], kernel_size, kernel_size), dtype=dtype)
-        b = np.zeros(sizes[i + 1], dtype=dtype)
-        layers.append(LayerSpec("conv", ConvParams(w, b)))
-    return Network(layers, group, n_hidden, residual)
+    convs = [
+        ConvParams(np.zeros((cout, cin, kernel_size, kernel_size), dtype=dtype), np.zeros(cout, dtype=dtype))
+        for cin, cout in zip(sizes, sizes[1:])
+    ]
+    return Network(convs, group, n_hidden, residual)
 
 
 def init_weights(net, seed, dtype=None):
@@ -209,25 +184,17 @@ def init_weights(net, seed, dtype=None):
         a = math.sqrt(1.0 / (p.in_channels * p.kernel_size**2))
         w = rng.uniform(-a, a, size=p.weight.shape).astype(dt)
         new_params.append(ConvParams(w, np.zeros(p.out_channels, dtype=dt)))
-    out = network_copy(net)
-    out.set_conv_params(new_params)
-    return out
+    return replace(net, conv_params=new_params)
 
 
 def network_copy(net):
-    specs = [
-        LayerSpec(s.kind, None if s.params is None else ConvParams(s.params.weight.copy(), s.params.bias.copy()))
-        for s in net.layers
-    ]
-    return Network(specs, net.group, net.n_hidden, net.residual)
+    convs = [ConvParams(p.weight.copy(), p.bias.copy()) for p in net.conv_params]
+    return replace(net, conv_params=convs)
 
 
 def network_astype(net, dtype):
-    out = network_copy(net)
-    out.set_conv_params(
-        [ConvParams(p.weight.astype(dtype), p.bias.astype(dtype)) for p in out.conv_params]
-    )
-    return out
+    convs = [ConvParams(p.weight.astype(dtype), p.bias.astype(dtype)) for p in net.conv_params]
+    return replace(net, conv_params=convs)
 
 
 # --- lifting convolution oracle -----------------------------------------------
@@ -279,16 +246,10 @@ def lifting_forward(oracle, x):
 
 
 def describe_architecture(net):
-    parts = []
-    for s in net.layers:
-        if s.kind == "relu":
-            parts.append("relu")
-        else:
-            p = s.params
-            parts.append(f"conv:{p.in_channels}:{p.out_channels}:{p.kernel_size}")
+    layers = ",relu,".join(f"conv:{p.in_channels}:{p.out_channels}:{p.kernel_size}" for p in net.conv_params)
     return (
         f"{CHECKPOINT_VERSION} order={net.group.order} n_hidden={net.n_hidden} "
-        f"residual={int(net.residual)} layers={','.join(parts)}"
+        f"residual={int(net.residual)} layers={layers}"
     )
 
 
@@ -301,17 +262,17 @@ def _parse_architecture(desc):
         group = RotationGroup(int(kv["order"]))
         n_hidden = int(kv["n_hidden"])
         residual = bool(int(kv["residual"]))
-        layers = []
-        for token in kv["layers"].split(","):
-            if token == "relu":
-                layers.append(LayerSpec("relu"))
-                continue
+        tokens = kv["layers"].split(",")
+        if len(tokens) % 2 == 0 or any(t != "relu" for t in tokens[1::2]):
+            raise ValueError("layers must alternate conv and relu, starting and ending with a conv")
+        convs = []
+        for token in tokens[::2]:
             tag, cin, cout, p = token.split(":")
             if tag != "conv":
                 raise ValueError(f"unknown layer token {token!r}")
             w = np.zeros((int(cout), int(cin), int(p), int(p)), dtype=np.float32)
-            layers.append(LayerSpec("conv", ConvParams(w, np.zeros(int(cout), dtype=np.float32))))
-        return Network(layers, group, n_hidden, residual)
+            convs.append(ConvParams(w, np.zeros(int(cout), dtype=np.float32)))
+        return Network(convs, group, n_hidden, residual)
     except (KeyError, ValueError) as exc:
         raise EqtFormatError(f"malformed checkpoint descriptor {desc!r}: {exc}") from exc
 

@@ -10,6 +10,7 @@ thread setting is deterministic run to run. The meter and evaluate stream
 fixed batches on the same workers, so their reports ignore the thread count.
 """
 
+import functools
 import json
 import math
 import os
@@ -19,13 +20,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .losses import EqRegConfig, equi_injections, sample_k, total_loss
-from .model import forward_with_tape, backprop, save_checkpoint
+from .losses import EqRegConfig, equi_injections, mismatch, reduce_sq, sample_k, total_loss
+from .model import add_grads, forward_with_tape, backprop, save_checkpoint
 from .tensor import ConvParams
 
 
 class NumericsError(RuntimeError):
-    """A loss became non-finite; training aborts rather than continue."""
+    """A loss or an updated weight became non-finite; training aborts rather than continue."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,11 @@ class AdamState:
 
 
 def adam_update(net, grads, adam, cfg):
-    """One in-place Adam step (standard bias correction, eps outside the sqrt)."""
+    """One in-place Adam step (standard bias correction, eps outside the sqrt).
+
+    Raises NumericsError before swapping in the new weights if any of them
+    is non-finite, so a non-finite weight never reaches a checkpoint.
+    """
     adam.t += 1
     c1 = 1.0 - cfg.beta1**adam.t
     c2 = 1.0 - cfg.beta2**adam.t
@@ -104,6 +109,8 @@ def adam_update(net, grads, adam, cfg):
             adam.v[i][j] = v
             step = cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
             updated.append((theta - step).astype(theta.dtype, copy=False))
+        if not all(np.isfinite(u).all() for u in updated):
+            raise NumericsError(f"non-finite weights in conv {i} after Adam step {adam.t}")
         new_params.append(ConvParams(updated[0], updated[1]))
     net.set_conv_params(new_params)
 
@@ -139,7 +146,6 @@ def _objective_chunk(net, x, clean, k, cfg, denom_task, denoms_equi, denom_out):
     """
     reg = cfg.eqreg
     group = net.group
-    mean = reg.reduction == "mean"
 
     out_p, tape_p = forward_with_tape(net, x)
     diff = out_p - clean
@@ -152,11 +158,9 @@ def _objective_chunk(net, x, clean, k, cfg, denom_task, denoms_equi, denom_out):
     oc_sq = 0.0
     g_out_r = None
     if reg.output_consistency:
-        e = group.rotate_image(out_p, k) - out_r
-        oc_sq = float(np.sum(np.square(e, dtype=np.float64)))
-        s = reg.output_consistency_weight * (2.0 / denom_out if mean else 2.0)
-        g_out_p = g_out_p + group.rotate_image_adjoint(s * e, k)
-        g_out_r = -s * e
+        oc_sq, g_oc, g_out_r = mismatch(out_p, out_r, k, group.rotate_image, group.rotate_image_adjoint,
+                                        denom_out, reg, reg.output_consistency_weight)
+        g_out_p = g_out_p + g_oc
 
     hidden_p = hidden_r = None
     if reg.lam > 0:
@@ -165,8 +169,7 @@ def _objective_chunk(net, x, clean, k, cfg, denom_task, denoms_equi, denom_out):
 
     grads = backprop(net, tape_p, g_out_p, hidden_p)
     if hidden_r is not None or g_out_r is not None:
-        grads_r = backprop(net, tape_r, g_out_r, hidden_r)
-        grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads, grads_r)]
+        grads = add_grads(grads, backprop(net, tape_r, g_out_r, hidden_r))
     return task_sq, equi_sqs, oc_sq, grads
 
 
@@ -197,14 +200,11 @@ def train_step(state, batch, cfg):
     task_sq = sum(p[0] for p in parts)
     equi_sqs = [sum(p[1][i] for p in parts) for i in range(net.n_hidden_layers)]
     oc_sq = sum(p[2] for p in parts)
-    grads = parts[0][3]
-    for p in parts[1:]:
-        grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads, p[3])]
+    grads = functools.reduce(add_grads, (p[3] for p in parts))
 
-    mean = reg.reduction == "mean"
     task = task_sq / denom_task
-    equi = sum(s / d if mean else s for s, d in zip(equi_sqs, denoms_equi))
-    oc = oc_sq / denom_out if mean else oc_sq
+    equi = sum(reduce_sq(s, d, reg) for s, d in zip(equi_sqs, denoms_equi))
+    oc = reduce_sq(oc_sq, denom_out, reg)
     total = total_loss(task, equi, reg, oc)
     losses = {"step": state.step + 1, "k": k, "task": task, "equi": equi, "total": total}
     if reg.output_consistency:
@@ -333,15 +333,15 @@ def _fmt(v):
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def train(net, train_data, cfg, eval_data=None, out_dir=None):
+def train(net, train_data, cfg, eval_data=None):
     """Run cfg.steps of train_step with periodic evaluation and checkpoints.
 
-    Writes report.csv, config.json and checkpoints under out_dir when given.
+    Writes report.csv, config.json and checkpoints under cfg.out_dir when set.
     Returns (net, rows, final EquivReport); rows carry one dict per eval point.
     """
     if len(train_data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    out_dir = out_dir or cfg.out_dir
+    out_dir = cfg.out_dir
     state = init_state(net, cfg)
     inputs = train_data.inputs()
     clean = train_data.clean
@@ -350,7 +350,6 @@ def train(net, train_data, cfg, eval_data=None, out_dir=None):
 
     group = net.group
     columns = CSV_BASE_COLUMNS + [f"e_out_k{k}" for k in range(1, group.order)]
-    csv_path = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.json"), "w", encoding="ascii") as fp:
@@ -381,10 +380,9 @@ def train(net, train_data, cfg, eval_data=None, out_dir=None):
                 for k, v in report.output_errors.items():
                     row[f"e_out_k{k}"] = v
                 rows.append(row)
-                if csv_path:
+                if out_dir:
                     with open(csv_path, "a", encoding="ascii") as fp:
                         fp.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-                if out_dir:
                     save_checkpoint(os.path.join(out_dir, f"ckpt_{state.step:06d}.eqnet"), state.net)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "ckpt_final.eqnet"), state.net)

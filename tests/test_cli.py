@@ -135,6 +135,13 @@ class TestTrain:
         assert res.returncode == 3
         assert "non-finite" in res.stderr
 
+    def test_non_finite_update_writes_no_checkpoint(self, tmp_path, shard):
+        out = tmp_path / "huge_lr"
+        res = run_subprocess("train", "--data", str(shard), "--out", str(out), "--steps", "1", "--lr", "1e39")
+        assert res.returncode == 3
+        assert "non-finite" in res.stderr
+        assert not (out / "ckpt_final.eqnet").exists()
+
 
 class TestEval:
     def test_prints_mean_psnr(self, capsys, trained, shard):
@@ -240,3 +247,10 @@ class TestThreadsEnv:
         ]
         assert all(r.returncode == 0 for r in outs), [r.stderr for r in outs]
         assert outs[0].stdout == outs[1].stdout
+
+
+def test_every_export_resolves():
+    import eqreg
+
+    for name in eqreg.__all__:
+        assert getattr(eqreg, name).__name__ == name

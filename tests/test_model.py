@@ -1,9 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from eqreg.group import RotationGroup
 from eqreg.model import (
-    LayerSpec,
     LiftingConvOracle,
     Network,
     backprop,
@@ -22,6 +23,16 @@ from eqreg.tensor import ConvParams, EqtFormatError, conv2d_forward, frobenius_s
 G4 = RotationGroup(4)
 
 
+def conv(cin, cout):
+    return ConvParams(np.zeros((cout, cin, 3, 3)), np.zeros(cout))
+
+
+def write_descriptor(path, desc):
+    raw = desc.encode("ascii")
+    path.write_bytes(struct.pack("<I", len(raw)) + raw)
+    return path
+
+
 def small_net(seed=0, depth=3, n_hidden=2, in_ch=1, out_ch=1, residual=True, dtype=np.float32):
     net = build_network(in_ch, out_ch, G4, n_hidden=n_hidden, depth=depth, residual=residual, dtype=dtype)
     return init_weights(net, seed, dtype=dtype)
@@ -37,7 +48,7 @@ class TestForward:
 
     def test_single_identity_conv(self):
         params = ConvParams(np.ones((1, 1, 1, 1), dtype=np.float64), np.zeros(1))
-        net = Network([LayerSpec("conv", params)], G4, n_hidden=2, residual=False)
+        net = Network([params], G4, n_hidden=2, residual=False)
         x = np.random.default_rng(1).standard_normal((1, 1, 5, 5))
         out, tape = forward_with_tape(net, x)
         np.testing.assert_array_equal(out, x)
@@ -48,8 +59,8 @@ class TestForward:
         x = np.random.default_rng(2).standard_normal((1, 1, 6, 6)).astype(np.float32)
         out, tape = forward_with_tape(net, x)
         assert len(tape) == 3 == net.n_hidden_layers
-        assert len(tape.conv_inputs) == 4
-        assert tape.output is out
+        assert len(tape.pre_activations) == 3
+        assert tape.input is x
 
     def test_tape_consistent_with_manual_recompute(self):
         net = small_net(seed=5)
@@ -66,30 +77,35 @@ class TestForward:
 
 class TestNetworkValidation:
     def test_channel_chain_mismatch(self):
-        mk = lambda cin, cout: LayerSpec("conv", ConvParams(np.zeros((cout, cin, 3, 3)), np.zeros(cout)))
         with pytest.raises(ValueError, match="mismatch"):
-            Network([mk(1, 8), LayerSpec("relu"), mk(4, 1)], G4, n_hidden=2)
+            Network([conv(1, 8), conv(4, 1)], G4, n_hidden=2)
 
     def test_hidden_width_must_be_multiple_of_order(self):
-        mk = lambda cin, cout: LayerSpec("conv", ConvParams(np.zeros((cout, cin, 3, 3)), np.zeros(cout)))
         with pytest.raises(ValueError, match="n_hidden"):
-            Network([mk(1, 6), LayerSpec("relu"), mk(6, 1)], G4, n_hidden=2)
+            Network([conv(1, 6), conv(6, 1)], G4, n_hidden=2)
 
-    def test_alternation_enforced(self):
-        mk = lambda cin, cout: LayerSpec("conv", ConvParams(np.zeros((cout, cin, 3, 3)), np.zeros(cout)))
-        with pytest.raises(ValueError, match="alternating"):
-            Network([mk(1, 8), mk(8, 8)], G4, n_hidden=2)
-        with pytest.raises(ValueError, match="end with a conv"):
-            Network([mk(1, 8), LayerSpec("relu")], G4, n_hidden=2)
+    def test_alternation_enforced(self, tmp_path):
+        # a conv list is always an alternating stack; descriptors on disk are
+        # where a non-alternating one can still appear
+        for layers in (
+            "conv:1:8:3,conv:8:1:3",
+            "conv:1:8:3,relu,conv:8:1:3,relu",
+            "relu,conv:1:8:3,relu,conv:8:1:3",
+            "conv:1:8:3,relu,relu,conv:8:1:3",
+        ):
+            path = write_descriptor(tmp_path / "net.eqnet", f"eqnet1 order=4 n_hidden=2 residual=1 layers={layers}")
+            with pytest.raises(EqtFormatError, match="alternate"):
+                load_checkpoint(path)
 
     def test_residual_needs_enough_input_channels(self):
-        mk = lambda cin, cout: LayerSpec("conv", ConvParams(np.zeros((cout, cin, 3, 3)), np.zeros(cout)))
         with pytest.raises(ValueError, match="residual"):
-            Network([mk(1, 3)], G4, n_hidden=2, residual=True)
+            Network([conv(1, 3)], G4, n_hidden=2, residual=True)
 
-    def test_layerspec_kind_checked(self):
-        with pytest.raises(ValueError, match="kind"):
-            LayerSpec("pool")
+    def test_unknown_layer_token_rejected(self, tmp_path):
+        for layers in ("conv:1:8:3,relu,pool:8:1:3", "conv:1:8:3,relu,pool", ""):
+            path = write_descriptor(tmp_path / "net.eqnet", f"eqnet1 order=4 n_hidden=2 residual=1 layers={layers}")
+            with pytest.raises(EqtFormatError, match="malformed"):
+                load_checkpoint(path)
 
 
 class TestInit:
@@ -232,6 +248,12 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(EqtFormatError):
             load_checkpoint(path)
+
+    def test_descriptor_bytes_pinned(self, tmp_path):
+        want = b"eqnet1 order=4 n_hidden=2 residual=1 layers=conv:1:8:3,relu,conv:8:8:3,relu,conv:8:1:3"
+        path = tmp_path / "net.eqnet"
+        save_checkpoint(path, build_network(1, 1, G4, n_hidden=2, depth=3))
+        assert path.read_bytes()[: 4 + len(want)] == struct.pack("<I", len(want)) + want
 
     def test_residual_flag_persisted(self, tmp_path):
         net = small_net(seed=6, residual=False)

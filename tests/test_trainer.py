@@ -180,6 +180,15 @@ class TestTrainStep:
         with pytest.raises(NumericsError, match="non-finite"):
             train_step(state, (x, clean), cfg)
 
+    def test_non_finite_update_keeps_weights(self):
+        net = tiny_net(seed=15)
+        cfg = TrainConfig(steps=1, lr=1e39)
+        state = init_state(net, cfg)
+        before = [(p.weight.tobytes(), p.bias.tobytes()) for p in net.conv_params]
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
+            train_step(state, tiny_batch(16), cfg)
+        assert [(p.weight.tobytes(), p.bias.tobytes()) for p in state.net.conv_params] == before
+
     def test_empty_batch_rejected(self):
         net = tiny_net(seed=17)
         cfg = TrainConfig(steps=1)
@@ -421,8 +430,8 @@ class TestTrainLoop:
         net = tiny_net(seed=35)
         train_ds = make_dataset("denoise", 16, seed=36)
         eval_ds = make_dataset("denoise", 4, seed=37)
-        cfg = TrainConfig(steps=6, batch_size=4, eval_period=3)
-        out, rows, rep = train(net, train_ds, cfg, eval_data=eval_ds, out_dir=tmp_path)
+        cfg = TrainConfig(steps=6, batch_size=4, eval_period=3, out_dir=str(tmp_path))
+        out, rows, rep = train(net, train_ds, cfg, eval_data=eval_ds)
         assert (tmp_path / "config.json").exists()
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "ckpt_000003.eqnet").exists()
@@ -431,6 +440,7 @@ class TestTrainLoop:
         assert rep.step == 6
         conf = json.loads((tmp_path / "config.json").read_text())
         assert conf["steps"] == 6 and conf["eqreg"]["lam"] == 0.1
+        assert conf["out_dir"] == str(tmp_path)
 
     def test_in_memory_run_no_out_dir(self):
         net = tiny_net(seed=38)
