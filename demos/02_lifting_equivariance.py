@@ -21,7 +21,7 @@ x = rng.standard_normal((1, 1, 12, 12))
 _, tape = forward_with_tape(oracle, x)
 print(f"lifted features: {tape.hidden[0].shape} (2 base kernels x 4 rotations)")
 
-cfg = EqRegConfig(reduction="sum", include_identity=True)
+cfg = EqRegConfig(reduction="sum")
 for k in range(4):
     _, tape_rot = forward_with_tape(oracle, group.rotate_image(x, k))
     loss = layer_loss(tape.hidden[0], tape_rot.hidden[0], k, group, cfg)

@@ -23,6 +23,7 @@ class ShardError(Exception):
 
 
 SHARD_FORMAT = "eqreg-shard-v1"
+SHARD_ROLES = ("degraded", "clean", "mask")
 
 
 # --- scene synthesis ------------------------------------------------------------
@@ -286,6 +287,8 @@ def read_shard(indir):
             meta = json.load(fp)
     except json.JSONDecodeError as exc:
         raise ShardError(f"unreadable sidecar {meta_path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ShardError(f"sidecar {meta_path} is not a JSON object")
     if meta.get("format") != SHARD_FORMAT:
         raise ShardError(f"unsupported shard format {meta.get('format')!r}")
     try:
@@ -295,6 +298,11 @@ def read_shard(indir):
         channels = meta["channels"]
     except KeyError as exc:
         raise ShardError(f"sidecar {meta_path} is missing key {exc}") from exc
+    for key, val in (("count", count), ("size", size), ("channels", channels)):
+        if type(val) is not int or val < 0:
+            raise ShardError(f"sidecar {key} must be a non-negative integer, got {val!r}")
+    if not isinstance(roles, list) or not all(role in SHARD_ROLES for role in roles):
+        raise ShardError(f"sidecar records must be a list of {SHARD_ROLES}, got {roles!r}")
     if "degraded" not in roles or "clean" not in roles:
         raise ShardError(f"shard records {roles} lack degraded/clean")
     stacks = {role: [] for role in roles}

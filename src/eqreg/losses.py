@@ -23,13 +23,11 @@ class EqRegConfig:
 
     lam scales the equivariance term in the total objective. reduction "mean"
     divides each layer's squared norm by its element count; "sum" does not.
-    include_identity admits k = 0 when sampling (a vacuous constraint, off by
-    default). output_consistency adds a rotate-the-output penalty.
+    output_consistency adds a rotate-the-output penalty.
     """
 
     lam: float = 0.1
     reduction: str = "mean"
-    include_identity: bool = False
     output_consistency: bool = False
     output_consistency_weight: float = 1.0
 
@@ -47,12 +45,9 @@ def reduce_sq(sq, numel, cfg):
     return sq / numel if cfg.reduction == "mean" else sq
 
 
-def sample_k(group, cfg, rng):
-    """Draw the shared group element for one training step."""
-    low = 0 if cfg.include_identity else 1
-    if group.order <= low:
-        raise ValueError(f"no non-identity element to sample in a group of order {group.order}")
-    return int(rng.integers(low, group.order))
+def sample_k(group, rng):
+    """Draw the shared non-identity group element for one training step."""
+    return int(rng.integers(1, group.order))
 
 
 def layer_loss(f_plain, f_rotated, k, group, cfg):

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DTYPE_TRAIN = np.float32
-DTYPE_CHECK = np.float64
-
-
 class EqtFormatError(Exception):
     """Malformed or truncated EQT1 stream."""
 

@@ -4,11 +4,11 @@ Each step runs the network on a batch and on its k-rotated copy (one shared k
 per step), applies the task loss to the plain branch and the equivariance
 penalty across both, and takes an Adam step on the exact gradient. Reported
 losses use fast float64 accumulation; the exactly-rounded variants live in
-eqreg.losses. With cfg.threads > 1 the batch is split along the batch axis
-into fixed chunks whose partial sums combine in a fixed order, so a given
-thread setting is deterministic run to run. The meter and evaluate stream
-fixed batches on the same workers, so their reports ignore the thread count.
-"""
+eqreg.losses. On a thread pool a step splits its batch into STEP_CHUNK-image
+chunks, whatever the pool's size, and combines their partial sums in chunk
+order; without a pool it runs the batch whole. The meter and evaluate stream
+METER_BATCH-image batches through the same helper, on the pool or inline, so
+their reports ignore the thread count. cfg.threads only sizes the pool."""
 
 import functools
 import json
@@ -92,27 +92,31 @@ class AdamState:
 def adam_update(net, grads, adam, cfg):
     """One in-place Adam step (standard bias correction, eps outside the sqrt).
 
-    Raises NumericsError before swapping in the new weights if any of them
-    is non-finite, so a non-finite weight never reaches a checkpoint.
+    Every new moment and weight is computed before any is stored. If a new
+    weight is non-finite, NumericsError leaves the weights and the Adam state
+    as they were, so a non-finite weight never reaches a checkpoint.
     """
-    adam.t += 1
-    c1 = 1.0 - cfg.beta1**adam.t
-    c2 = 1.0 - cfg.beta2**adam.t
-    new_params = []
+    t = adam.t + 1
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
+    new_m, new_v, new_params = [], [], []
     for i, p in enumerate(net.conv_params):
-        updated = []
-        for j, (theta, g) in enumerate(((p.weight, grads[i][0]), (p.bias, grads[i][1]))):
-            g = g.astype(theta.dtype, copy=False)
+        ms, vs, updated = [], [], []
+        for j, theta in enumerate((p.weight, p.bias)):
+            g = grads[i][j].astype(theta.dtype, copy=False)
             m = cfg.beta1 * adam.m[i][j] + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * adam.v[i][j] + (1.0 - cfg.beta2) * np.square(g)
-            adam.m[i][j] = m
-            adam.v[i][j] = v
             step = cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            ms.append(m)
+            vs.append(v)
             updated.append((theta - step).astype(theta.dtype, copy=False))
         if not all(np.isfinite(u).all() for u in updated):
-            raise NumericsError(f"non-finite weights in conv {i} after Adam step {adam.t}")
-        new_params.append(ConvParams(updated[0], updated[1]))
+            raise NumericsError(f"non-finite weights in conv {i} after Adam step {t}")
+        new_m.append(ms)
+        new_v.append(vs)
+        new_params.append(ConvParams(*updated))
     net.set_conv_params(new_params)
+    adam.m, adam.v, adam.t = new_m, new_v, t
 
 
 @dataclass
@@ -133,6 +137,16 @@ def batch_executor(threads):
 
 def init_state(net, cfg):
     return TrainState(net, AdamState.zeros(net), np.random.default_rng(cfg.seed))
+
+
+STEP_CHUNK = 4  # images per train_step chunk on a pool, whatever its size
+METER_BATCH = 8  # images per meter and eval batch; smaller batches ran faster and peak lower
+
+
+def _map_slices(fn, n, size, executor):
+    """fn over consecutive size-long slices of range(n), on executor or inline; results in slice order."""
+    run = map if executor is None else executor.map
+    return list(run(fn, [slice(lo, lo + size) for lo in range(0, n, size)]))
 
 
 # --- one optimization step -------------------------------------------------------
@@ -178,13 +192,15 @@ def train_step(state, batch, cfg):
 
     The rotated branch always runs (the equi term is reported even at lam 0)
     but contributes gradients only when lam > 0 or output consistency is on.
+    On state.executor the batch runs in STEP_CHUNK-image chunks whose partial
+    sums combine in chunk order; without an executor it runs as one chunk.
     """
     x, clean = batch
     if x.shape[0] != clean.shape[0] or x.shape[0] == 0:
         raise ValueError(f"bad batch shapes {x.shape} vs {clean.shape}")
     net = state.net
     reg = cfg.eqreg
-    k = sample_k(net.group, reg, state.rng)
+    k = sample_k(net.group, state.rng)
 
     b, _, h, w = x.shape
     width = net.n_hidden * net.group.order
@@ -192,10 +208,11 @@ def train_step(state, batch, cfg):
     denoms_equi = [b * width * h * w] * net.n_hidden_layers
     denom_out = b * net.out_channels * h * w
 
-    bounds = np.array_split(np.arange(b), min(cfg.threads, b))
-    jobs = [(net, x[ix], clean[ix], k, cfg, denom_task, denoms_equi, denom_out) for ix in bounds]
-    run = map if state.executor is None else state.executor.map
-    parts = list(run(lambda a: _objective_chunk(*a), jobs))
+    def chunk(ix):
+        return _objective_chunk(net, x[ix], clean[ix], k, cfg, denom_task, denoms_equi, denom_out)
+
+    size = b if state.executor is None else STEP_CHUNK
+    parts = _map_slices(chunk, b, size, state.executor)
 
     task_sq = sum(p[0] for p in parts)
     equi_sqs = [sum(p[1][i] for p in parts) for i in range(net.n_hidden_layers)]
@@ -218,9 +235,6 @@ def train_step(state, batch, cfg):
 
 
 # --- evaluation -------------------------------------------------------------------
-
-METER_BATCH = 8  # images per meter and eval batch; smaller batches ran faster and peak lower
-
 
 @dataclass
 class EvalResult:
@@ -283,10 +297,10 @@ def _meter_columns(net, dataset, clean, ks, batch_size, executor):
     """
     inputs, group = dataset.inputs(), net.group
 
-    def batch(lo):
-        x = inputs[lo : lo + batch_size]
+    def batch(s):
+        x = inputs[s]
         out, tape = forward_with_tape(net, x)
-        ref = None if clean is None else clean[lo : lo + batch_size]
+        ref = None if clean is None else clean[s]
         cols = [np.full(len(x), np.nan) if ref is None else np.array([psnr(o, c) for o, c in zip(out, ref)])]
         cols += [_per_image_norms(a) for a in (out, *tape.hidden)]
         for k in ks:
@@ -296,7 +310,7 @@ def _meter_columns(net, dataset, clean, ks, batch_size, executor):
                      for h, r in zip(tape.hidden, rot_tape.hidden)]
         return cols
 
-    parts = (map if executor is None else executor.map)(batch, range(0, len(inputs), batch_size))
+    parts = _map_slices(batch, len(inputs), batch_size, executor)
     return [np.concatenate(col) for col in zip(*parts)]
 
 

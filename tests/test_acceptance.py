@@ -95,7 +95,7 @@ def test_lifting_layer_loss_vanishes():
     # a lifted convolution is equivariant by construction, so its layer loss
     # sits at float64 rounding noise, far below 1e-18
     rng = np.random.default_rng(321)
-    cfg = EqRegConfig(reduction="sum", include_identity=True)
+    cfg = EqRegConfig(reduction="sum")
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 4))

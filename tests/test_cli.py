@@ -10,6 +10,8 @@ from eqreg.cli import main
 from eqreg.data import read_shard, save_image
 from eqreg.tensor import load_tensor
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(*args):
     return main(list(args))
@@ -18,6 +20,7 @@ def run_cli(*args):
 def run_subprocess(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("EQREG_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -104,6 +107,17 @@ class TestTrain:
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("train", "--frobnicate") == 1
+
+    def test_malformed_sidecar_is_io_error(self, tmp_path, shard):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "data.eqt1").write_bytes((shard / "data.eqt1").read_bytes())
+        meta = json.loads((shard / "meta.json").read_text())
+        meta["count"] = "2"
+        (bad / "meta.json").write_text(json.dumps(meta))
+        res = run_subprocess("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--steps", "1")
+        assert res.returncode == 2
+        assert "count" in res.stderr and "Traceback" not in res.stderr
 
     def test_byte_identical_reruns(self, tmp_path, shard):
         outs = []
@@ -236,6 +250,20 @@ class TestThreadsEnv:
             assert res.returncode == 0, res.stderr
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_train_same_at_two_and_three_threads(self, tmp_path, shard):
+        runs = []
+        for threads in ("2", "3"):
+            d = tmp_path / f"t{threads}"
+            res = run_subprocess(
+                "train", "--data", str(shard), "--out", str(d), "--steps", "4",
+                "--batch", "8", "--seed", "5", "--eval-period", "2", env_extra={"EQREG_THREADS": threads},
+            )
+            assert res.returncode == 0, res.stderr
+            runs.append(d)
+        a, b = runs
+        for name in ("ckpt_000002.eqnet", "ckpt_final.eqnet", "report.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_eval_same_at_two_threads(self, trained, shard):
         outs = [

@@ -259,6 +259,31 @@ class TestDatasets:
         with pytest.raises(ShardError, match="format"):
             read_shard(tmp_path)
 
+    def test_top_level_list_sidecar_rejected(self, tmp_path):
+        write_shard(tmp_path, make_dataset("denoise", 2, seed=16))
+        (tmp_path / "meta.json").write_text("[1, 2]")
+        with pytest.raises(ShardError, match="JSON object"):
+            read_shard(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("count", "2"),
+        ("count", -1),
+        ("count", 2.0),
+        ("count", True),
+        ("size", None),
+        ("channels", -3),
+        ("records", "degraded"),
+        ("records", ["degraded", "clean", "noise"]),
+        ("records", [["degraded"], "clean"]),
+    ])
+    def test_malformed_sidecar_field_rejected(self, tmp_path, key, value):
+        write_shard(tmp_path, make_dataset("denoise", 2, seed=16))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta[key] = value
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ShardError, match=key):
+            read_shard(tmp_path)
+
     def test_truncated_tensor_stream_rejected(self, tmp_path):
         ds = make_dataset("denoise", 3, seed=17)
         write_shard(tmp_path, ds)

@@ -35,7 +35,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = EqRegConfig()
         assert cfg.lam == 0.1 and cfg.reduction == "mean"
-        assert not cfg.include_identity and not cfg.output_consistency
+        assert not cfg.output_consistency
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -49,17 +49,11 @@ class TestConfig:
 class TestSampleK:
     def test_excludes_identity_by_default(self):
         rng = np.random.default_rng(0)
-        ks = {sample_k(G4, EqRegConfig(), rng) for _ in range(200)}
+        ks = {sample_k(G4, rng) for _ in range(200)}
         assert ks == {1, 2, 3}
 
-    def test_include_identity_covers_full_range(self):
-        rng = np.random.default_rng(1)
-        cfg = EqRegConfig(include_identity=True)
-        ks = {sample_k(G4, cfg, rng) for _ in range(400)}
-        assert ks == {0, 1, 2, 3}
-
     def test_deterministic_under_seed(self):
-        draw = lambda: [sample_k(G4, EqRegConfig(), np.random.default_rng(7)) for _ in range(5)]
+        draw = lambda: [sample_k(G4, np.random.default_rng(7)) for _ in range(5)]
         assert draw() == draw()
 
 
@@ -70,8 +64,7 @@ class TestLayerLoss:
 
     def test_k_zero_identical_features(self):
         h = np.random.default_rng(3).standard_normal((1, 4, 5, 5))
-        cfg = EqRegConfig(include_identity=True)
-        assert layer_loss(h, h, 0, G4, cfg) == 0.0
+        assert layer_loss(h, h, 0, G4, EqRegConfig()) == 0.0
 
     def test_sum_reduction_matches_pair_oracle(self):
         rng = np.random.default_rng(4)
@@ -129,8 +122,7 @@ class TestEquiLoss:
 
     def test_zero_for_identical_tapes_at_k0(self):
         _, tp, _ = self.net_and_tapes(11, 0)
-        cfg = EqRegConfig(include_identity=True)
-        assert equi_loss(tp, tp, 0, G4, cfg) == 0.0
+        assert equi_loss(tp, tp, 0, G4, EqRegConfig()) == 0.0
 
     def test_tape_length_mismatch_rejected(self):
         net, tp, tr = self.net_and_tapes(12, 1)
@@ -178,7 +170,7 @@ class TestOutputConsistency:
         # channels, so a pure channel shift must register as mismatch
         y = np.random.default_rng(14).standard_normal((1, 4, 4, 4))
         shifted = np.roll(y, 1, axis=1)
-        assert output_consistency_loss(y, shifted, 0, G4, EqRegConfig(include_identity=True)) > 0.0
+        assert output_consistency_loss(y, shifted, 0, G4, EqRegConfig()) > 0.0
 
 
 class TestTotalLoss:

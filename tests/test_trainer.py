@@ -206,6 +206,26 @@ class TestTrainStep:
             last = train_step(state, batch, cfg)["total"]
         assert last < 0.5 * first
 
+    def test_refused_update_keeps_adam_state(self):
+        net = tiny_net(seed=15)
+        cfg = TrainConfig(steps=1, lr=1e39)
+        state = init_state(net, cfg)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
+            train_step(state, tiny_batch(16), cfg)
+        assert state.adam.t == 0 and state.step == 0
+        for m in (*state.adam.m, *state.adam.v):
+            assert not any(a.any() for a in m)
+
+    @staticmethod
+    def step_bits(threads, executor=None, b=6):
+        net = tiny_net(seed=21)
+        cfg = TrainConfig(steps=1, threads=threads)
+        state = init_state(net, cfg)
+        state.executor = executor
+        losses = train_step(state, tiny_batch(20, b=b), cfg)
+        params = [(p.weight.tobytes(), p.bias.tobytes()) for p in net.conv_params]
+        return losses, params
+
     def test_threads_match_single_thread(self):
         batch = tiny_batch(20, b=6)
         results = {}
@@ -213,12 +233,26 @@ class TestTrainStep:
             net = tiny_net(seed=21)
             cfg = TrainConfig(steps=1, threads=threads)
             state = init_state(net, cfg)
-            losses = train_step(state, batch, cfg)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                state.executor = pool if threads > 1 else None
+                losses = train_step(state, batch, cfg)
             results[threads] = (losses, [p.weight.copy() for p in net.conv_params])
         a, b = results[1], results[2]
         assert math.isclose(a[0]["total"], b[0]["total"], rel_tol=1e-10)
         for wa, wb in zip(a[1], b[1]):
             np.testing.assert_allclose(wa, wb, rtol=1e-6, atol=1e-9)
+
+    def test_pool_size_does_not_change_bits(self):
+        # batch 10 runs as chunks of 4, 4 and 2 on any pool
+        runs = []
+        for workers in (2, 3, 4):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                runs.append(self.step_bits(workers, pool, b=10))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_no_executor_runs_whole_batch(self):
+        # without a pool, cfg.threads does not split the batch
+        assert self.step_bits(2, None, b=10) == self.step_bits(1, None, b=10)
 
 
 class TestFullObjectiveGradient:
@@ -448,6 +482,16 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=2, batch_size=4, eval_period=2)
         _, rows, rep = train(net, ds, cfg)
         assert len(rows) == 1 and rep is not None
+
+    def test_artifacts_same_at_any_pool_size(self, tmp_path):
+        train_ds = make_dataset("denoise", 16, seed=61)
+        eval_ds = make_dataset("denoise", 5, seed=62)
+        for threads in (2, 3):
+            cfg = TrainConfig(steps=4, batch_size=10, eval_period=2, threads=threads,
+                              out_dir=str(tmp_path / f"t{threads}"))
+            train(tiny_net(seed=63), train_ds, cfg, eval_data=eval_ds)
+        for name in ("report.csv", "ckpt_000002.eqnet", "ckpt_000004.eqnet", "ckpt_final.eqnet"):
+            assert (tmp_path / "t2" / name).read_bytes() == (tmp_path / "t3" / name).read_bytes(), name
 
     def test_same_seed_same_weights(self):
         def run():
