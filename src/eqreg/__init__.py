@@ -45,8 +45,6 @@ _EXPORTS = {
     "equi_loss_backward": "losses",
     # data
     "SceneSpec": "data",
-    "GaussianNoise": "data",
-    "MaskInpaint": "data",
     "Dataset": "data",
     "NetpbmError": "data",
     "ShardError": "data",

@@ -167,7 +167,7 @@ def _cmd_eval(args):
 def _cmd_measure_equiv(args):
     from .data import read_shard
     from .model import load_checkpoint
-    from .trainer import batch_executor, measure_equivariance
+    from .trainer import batch_executor, csv_line, measure_equivariance
 
     net = load_checkpoint(args.ckpt)
     data = read_shard(args.data)
@@ -175,9 +175,7 @@ def _cmd_measure_equiv(args):
         report = measure_equivariance(net, data, executor=executor)
     header, rows = report.csv_rows()
     with open(args.out, "w", encoding="ascii") as fp:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fp.writelines(csv_line(r) for r in [header, *rows])
     print(
         f"psnr={report.psnr:.3f} e_out_mean={report.e_out_mean:.6g} "
         f"e_feat_mean={report.e_feat_mean:.6g} -> {args.out}"

@@ -102,44 +102,23 @@ def generate_clean(spec, seed, count):
 # --- degradations ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianNoise:
-    sigma: float
+def degrade(clean, seed, sigma, mask_rate=None):
+    """Noise a clean stack, first masking pixels when mask_rate is given.
 
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class MaskInpaint:
-    """Zero out pixels with probability rate (mask value 0), then add noise."""
-
-    rate: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.rate <= 1:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-def degrade(clean, deg, seed):
-    """Apply a degradation to a clean stack; returns (degraded, mask or None).
-
-    The mask draw precedes the noise draw, which fixes the stream layout.
+    Returns (degraded, mask or None); a masked pixel is dropped with
+    probability mask_rate (mask value 0). The mask draw precedes the noise
+    draw, which fixes the stream layout.
     """
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if mask_rate is not None and not 0 <= mask_rate <= 1:
+        raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
     rng = np.random.default_rng([seed, 1])
     clean = np.asarray(clean)
-    if isinstance(deg, GaussianNoise):
-        noise = rng.normal(0.0, deg.sigma, size=clean.shape)
-        return (clean + noise).astype(clean.dtype), None
-    if isinstance(deg, MaskInpaint):
-        mask = (rng.random(clean.shape) >= deg.rate).astype(clean.dtype)
-        noise = rng.normal(0.0, deg.sigma, size=clean.shape)
-        return (mask * clean + noise).astype(clean.dtype), mask
-    raise TypeError(f"unknown degradation {type(deg).__name__}")
+    mask = None if mask_rate is None else (rng.random(clean.shape) >= mask_rate).astype(clean.dtype)
+    noise = rng.normal(0.0, sigma, size=clean.shape)
+    signal = clean if mask is None else mask * clean
+    return (signal + noise).astype(clean.dtype), mask
 
 
 # --- PGM (P5) / PPM (P6) --------------------------------------------------------
@@ -242,14 +221,11 @@ class Dataset:
 def make_dataset(task, count, seed, spec=None, sigma=0.1, mask_rate=0.3):
     """Render, degrade and wrap a shard for the given task."""
     spec = spec or SceneSpec()
-    if task == "denoise":
-        deg = GaussianNoise(sigma)
-    elif task == "inpaint":
-        deg = MaskInpaint(mask_rate, sigma)
-    else:
+    if task not in ("denoise", "inpaint"):
         raise ValueError(f"unknown task {task!r}")
+    rate = mask_rate if task == "inpaint" else None
     clean = generate_clean(spec, seed, count)
-    degraded, mask = degrade(clean, deg, seed)
+    degraded, mask = degrade(clean, seed, sigma, rate)
     records = ["degraded", "clean"] + (["mask"] if mask is not None else [])
     meta = {
         "format": SHARD_FORMAT,
@@ -259,7 +235,7 @@ def make_dataset(task, count, seed, spec=None, sigma=0.1, mask_rate=0.3):
         "size": spec.size,
         "seed": seed,
         "sigma": sigma,
-        "mask_rate": mask_rate if task == "inpaint" else None,
+        "mask_rate": rate,
         "records": records,
         "scene": asdict(spec),
     }
@@ -310,6 +286,8 @@ def read_shard(indir):
         for _ in range(count):
             for role in roles:
                 stacks[role].append(read_tensor(fp))
+        if fp.read(1):
+            raise ShardError(f"data.eqt1 holds more than the sidecar's {count} samples")
     shape = (count, channels, size, size)
     out = {}
     for role in roles:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .tensor import as_tensor4
 
@@ -24,6 +23,8 @@ _PLAN_CACHE = {}  # (side, order, k) -> (csr, csr_transpose)
 
 def _build_plan(side, theta):
     """Sparse (side^2, side^2) bilinear rotation about the grid center."""
+    import scipy.sparse as sp  # only non-quarter-turn rotations need it; it is slow to import
+
     c = (side - 1) / 2.0
     cos, sin = math.cos(theta), math.sin(theta)
     idx = np.arange(side, dtype=np.float64)

@@ -25,6 +25,13 @@ from .model import add_grads, forward_with_tape, backprop, save_checkpoint
 from .tensor import ConvParams
 
 
+STEP_CHUNK = 4  # images per train_step chunk on a pool, whatever its size
+METER_BATCH = 8  # images per meter and eval batch; smaller batches ran faster and peak lower
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8  # added outside the sqrt
+
+
 class NumericsError(RuntimeError):
     """A loss or an updated weight became non-finite; training aborts rather than continue."""
 
@@ -34,9 +41,6 @@ class TrainConfig:
     steps: int
     batch_size: int = 8
     lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     task: str = "denoise"
     eval_period: int = 500
@@ -90,23 +94,23 @@ class AdamState:
 
 
 def adam_update(net, grads, adam, cfg):
-    """One in-place Adam step (standard bias correction, eps outside the sqrt).
+    """One in-place Adam step at rate cfg.lr, with standard bias correction.
 
     Every new moment and weight is computed before any is stored. If a new
     weight is non-finite, NumericsError leaves the weights and the Adam state
     as they were, so a non-finite weight never reaches a checkpoint.
     """
     t = adam.t + 1
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     new_m, new_v, new_params = [], [], []
     for i, p in enumerate(net.conv_params):
         ms, vs, updated = [], [], []
         for j, theta in enumerate((p.weight, p.bias)):
             g = grads[i][j].astype(theta.dtype, copy=False)
-            m = cfg.beta1 * adam.m[i][j] + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * adam.v[i][j] + (1.0 - cfg.beta2) * np.square(g)
-            step = cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            m = ADAM_BETA1 * adam.m[i][j] + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * adam.v[i][j] + (1.0 - ADAM_BETA2) * np.square(g)
+            step = cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             ms.append(m)
             vs.append(v)
             updated.append((theta - step).astype(theta.dtype, copy=False))
@@ -137,10 +141,6 @@ def batch_executor(threads):
 
 def init_state(net, cfg):
     return TrainState(net, AdamState.zeros(net), np.random.default_rng(cfg.seed))
-
-
-STEP_CHUNK = 4  # images per train_step chunk on a pool, whatever its size
-METER_BATCH = 8  # images per meter and eval batch; smaller batches ran faster and peak lower
 
 
 def _map_slices(fn, n, size, executor):
@@ -343,8 +343,9 @@ def measure_equivariance(net, dataset, batch_size=METER_BATCH, executor=None):
 CSV_BASE_COLUMNS = ["step", "task_loss", "equi_loss", "total_loss", "psnr", "e_out_mean", "e_feat_mean"]
 
 
-def _fmt(v):
-    return repr(float(v)) if isinstance(v, float) else str(v)
+def csv_line(values):
+    """One CSV record; floats as repr, so a value reads back to the same bits."""
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values) + "\n"
 
 
 def train(net, train_data, cfg, eval_data=None):
@@ -371,7 +372,7 @@ def train(net, train_data, cfg, eval_data=None):
             fp.write("\n")
         csv_path = os.path.join(out_dir, "report.csv")
         with open(csv_path, "w", encoding="ascii") as fp:
-            fp.write(",".join(columns) + "\n")
+            fp.write(csv_line(columns))
 
     rows = []
     report = None
@@ -396,7 +397,7 @@ def train(net, train_data, cfg, eval_data=None):
                 rows.append(row)
                 if out_dir:
                     with open(csv_path, "a", encoding="ascii") as fp:
-                        fp.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+                        fp.write(csv_line(row[c] for c in columns))
                     save_checkpoint(os.path.join(out_dir, f"ckpt_{state.step:06d}.eqnet"), state.net)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "ckpt_final.eqnet"), state.net)

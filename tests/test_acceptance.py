@@ -7,6 +7,7 @@ experiment tests at the bottom train real networks and dominate the runtime
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from eqreg.tensor import frobenius_sq
 from eqreg.trainer import TrainConfig, psnr, train
 
 G4 = RotationGroup(4)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _inner(a, b):
@@ -161,9 +163,11 @@ def test_train_determinism():
         tmp = Path(tmp)
         shard = tmp / "shard"
         run = [sys.executable, "-m", "eqreg"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
         subprocess.run(
             run + ["gen-data", "--out", str(shard), "--count", "24", "--seed", "4"],
-            check=True, capture_output=True,
+            check=True, capture_output=True, env=env,
         )
         outs = []
         for name in ("a", "b"):
@@ -172,7 +176,7 @@ def test_train_determinism():
                 run + ["train", "--data", str(shard), "--out", str(d),
                        "--steps", "25", "--batch", "4", "--seed", "11",
                        "--eval-period", "25"],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             assert res.returncode == 0, res.stderr
             outs.append(d)

@@ -119,6 +119,18 @@ class TestTrain:
         assert res.returncode == 2
         assert "count" in res.stderr and "Traceback" not in res.stderr
 
+    def test_short_sidecar_count_is_io_error(self, tmp_path, shard):
+        # the 12-sample stream under a sidecar claiming 3 samples
+        bad = tmp_path / "short"
+        bad.mkdir()
+        (bad / "data.eqt1").write_bytes((shard / "data.eqt1").read_bytes())
+        meta = json.loads((shard / "meta.json").read_text())
+        meta["count"] = 3
+        (bad / "meta.json").write_text(json.dumps(meta))
+        res = run_subprocess("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--steps", "1")
+        assert res.returncode == 2
+        assert "more than" in res.stderr and "Traceback" not in res.stderr
+
     def test_byte_identical_reruns(self, tmp_path, shard):
         outs = []
         for name in ("r1", "r2"):

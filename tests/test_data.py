@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,8 +8,6 @@ import pytest
 from eqreg.tensor import EqtFormatError
 from eqreg.data import (
     Dataset,
-    GaussianNoise,
-    MaskInpaint,
     NetpbmError,
     SceneSpec,
     ShardError,
@@ -98,7 +97,7 @@ class TestDegrade:
     def test_noise_statistics(self):
         # a million samples pin the variance within 5%
         clean = np.zeros((1000, 1, 32, 32), dtype=np.float32)
-        noisy, mask = degrade(clean, GaussianNoise(0.1), seed=5)
+        noisy, mask = degrade(clean, 5, sigma=0.1)
         assert mask is None
         resid = noisy.astype(np.float64) - clean
         assert abs(resid.var() - 0.01) < 0.05 * 0.01
@@ -106,41 +105,42 @@ class TestDegrade:
 
     def test_sigma_zero_is_identity(self):
         clean = generate_clean(SceneSpec(), 6, 4)
-        out, _ = degrade(clean, GaussianNoise(0.0), seed=6)
+        out, _ = degrade(clean, 6, sigma=0.0)
         np.testing.assert_array_equal(out, clean)
 
     def test_noise_deterministic(self):
         clean = generate_clean(SceneSpec(), 2, 4)
-        a, _ = degrade(clean, GaussianNoise(0.1), seed=7)
-        b, _ = degrade(clean, GaussianNoise(0.1), seed=7)
+        a, _ = degrade(clean, 7, sigma=0.1)
+        b, _ = degrade(clean, 7, sigma=0.1)
         assert a.tobytes() == b.tobytes()
-        c, _ = degrade(clean, GaussianNoise(0.1), seed=8)
+        c, _ = degrade(clean, 8, sigma=0.1)
         assert a.tobytes() != c.tobytes()
 
     def test_mask_rate(self):
         clean = np.ones((1000, 1, 32, 32), dtype=np.float32)  # ~1e6 pixels
-        _, mask = degrade(clean, MaskInpaint(0.3), seed=1)
+        _, mask = degrade(clean, 1, sigma=0.0, mask_rate=0.3)
         drop = 1.0 - mask.mean()
         assert abs(drop - 0.3) < 0.01
 
     def test_mask_zeroes_pixels(self):
         clean = np.ones((2, 1, 16, 16), dtype=np.float32)
-        out, mask = degrade(clean, MaskInpaint(0.5), seed=2)
+        out, mask = degrade(clean, 2, sigma=0.0, mask_rate=0.5)
         np.testing.assert_array_equal(out[mask == 0], 0.0)
         np.testing.assert_array_equal(out[mask == 1], 1.0)
 
     def test_mask_then_noise_composition(self):
         # holes carry pure noise, survivors carry signal plus noise
         clean = np.ones((2, 1, 16, 16), dtype=np.float32)
-        out, mask = degrade(clean, MaskInpaint(0.4, sigma=0.05), seed=3)
+        out, mask = degrade(clean, 3, sigma=0.05, mask_rate=0.4)
         assert np.abs(out[mask == 0]).max() < 0.3
         assert out[mask == 1].mean() > 0.9
 
     def test_degradation_validation(self):
+        clean = np.zeros((1, 1, 4, 4), dtype=np.float32)
         with pytest.raises(ValueError):
-            GaussianNoise(-0.1)
+            degrade(clean, 0, sigma=-0.1)
         with pytest.raises(ValueError):
-            MaskInpaint(1.5)
+            degrade(clean, 0, sigma=0.0, mask_rate=1.5)
 
 
 class TestNetpbm:
@@ -284,6 +284,15 @@ class TestDatasets:
         with pytest.raises(ShardError, match=key):
             read_shard(tmp_path)
 
+    def test_trailing_records_rejected(self, tmp_path):
+        # a sidecar count below the stream's sample count must not truncate silently
+        write_shard(tmp_path, make_dataset("denoise", 5, seed=17))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["count"] = 3
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ShardError, match="more than"):
+            read_shard(tmp_path)
+
     def test_truncated_tensor_stream_rejected(self, tmp_path):
         ds = make_dataset("denoise", 3, seed=17)
         write_shard(tmp_path, ds)
@@ -297,3 +306,21 @@ class TestDatasets:
         b = make_dataset("inpaint", 3, seed=18)
         assert a.degraded.tobytes() == b.degraded.tobytes()
         assert a.mask.tobytes() == b.mask.tobytes()
+
+
+# sha256 of data.eqt1 and meta.json for make_dataset(task, 4, seed=9) with the
+# default spec, sigma and mask rate. A change to the scene draws, the
+# degradation stream or the shard layout shows up here first.
+PINNED_SHARDS = {
+    "denoise": ("04b2657b155c5a513f529a254324cda4a6d86886eda64e6c54426673147192c8",
+                "1bf604e51045c6472b9eb8ced0ac28079aa389102a2c0c1f208c4cba9da969ad"),
+    "inpaint": ("ece698f05fce4de4bbe6c0e5f1287b7964469ea02f771272888d099876938ddd",
+                "168c411cc2ee78d4e85b75e1bebce91a88801eb7ad1c1c8a12320d893cca0a47"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(PINNED_SHARDS))
+def test_shard_bytes_pinned(tmp_path, task):
+    write_shard(tmp_path, make_dataset(task, 4, seed=9))
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("data.eqt1", "meta.json"))
+    assert got == PINNED_SHARDS[task]

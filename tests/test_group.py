@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -222,3 +226,32 @@ class TestAdjoint:
         lhs = np.vdot(g.rotate_image(x, 1), y)
         rhs = np.vdot(x, g.rotate_image_adjoint(y, 1))
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+
+SCIPY_PROBE = """
+import sys
+import numpy as np
+from eqreg.data import make_dataset
+from eqreg.group import RotationGroup
+from eqreg.model import build_network, init_weights
+from eqreg.trainer import TrainConfig, init_state, measure_equivariance, train_step
+
+ds = make_dataset("denoise", 4, seed=0)
+net = init_weights(build_network(1, 1, RotationGroup(4), n_hidden=2, depth=2), 0)
+cfg = TrainConfig(steps=1, batch_size=4)
+train_step(init_state(net, cfg), (ds.inputs(), ds.clean), cfg)
+measure_equivariance(net, ds)
+print("c4", "scipy" in sys.modules)
+x = np.arange(16.0).reshape(1, 1, 4, 4)
+RotationGroup(8).rotate_image(x, 1)
+print("c8", "scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_interpolated_rotations():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[:2] == ["c4 False", "c8 True"]

@@ -17,6 +17,7 @@ from eqreg.model import (
     network_copy,
 )
 from eqreg.trainer import (
+    ADAM_EPS,
     AdamState,
     NumericsError,
     TrainConfig,
@@ -82,8 +83,8 @@ class TestAdam:
         adam_update(net, grads, adam, cfg)
         assert adam.t == 1
         for p0, p1, (gw, gb) in zip(before.conv_params, net.conv_params, grads):
-            want_w = p0.weight - cfg.lr * gw / (np.abs(gw) + cfg.eps)
-            want_b = p0.bias - cfg.lr * gb / (np.abs(gb) + cfg.eps)
+            want_w = p0.weight - cfg.lr * gw / (np.abs(gw) + ADAM_EPS)
+            want_b = p0.bias - cfg.lr * gb / (np.abs(gb) + ADAM_EPS)
             np.testing.assert_allclose(p1.weight, want_w, rtol=0, atol=1e-12)
             np.testing.assert_allclose(p1.bias, want_b, rtol=0, atol=1e-12)
 
@@ -96,7 +97,7 @@ class TestAdam:
         adam_update(net, g, adam, cfg)
         adam_update(net, g, adam, cfg)
         # constant unit gradient: mhat = 1, vhat = 1 at every step
-        moved = 2 * cfg.lr * 1.0 / (1.0 + cfg.eps)
+        moved = 2 * cfg.lr * 1.0 / (1.0 + ADAM_EPS)
         for p0, p1 in zip(before.conv_params, net.conv_params):
             np.testing.assert_allclose(p0.weight - p1.weight, moved, rtol=0, atol=1e-12)
 
