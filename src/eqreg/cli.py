@@ -227,30 +227,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
+    from .data import NetpbmError, ShardError
+    from .tensor import EqtFormatError
+    from .trainer import NumericsError
+
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"eqreg: error: {exc}", file=sys.stderr)
         return 1
-    except _io_errors() as exc:
+    except (OSError, EqtFormatError, NetpbmError, ShardError) as exc:
         print(f"eqreg: {exc}", file=sys.stderr)
         return 2
-    except _numerics_error() as exc:
+    except NumericsError as exc:
         print(f"eqreg: {exc}", file=sys.stderr)
         return 3
-
-
-def _io_errors():
-    from .data import NetpbmError, ShardError
-    from .tensor import EqtFormatError
-
-    return (OSError, EqtFormatError, NetpbmError, ShardError)
-
-
-def _numerics_error():
-    from .trainer import NumericsError
-
-    return NumericsError
 
 
 if __name__ == "__main__":

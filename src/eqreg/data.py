@@ -23,6 +23,7 @@ class ShardError(Exception):
 
 
 SHARD_FORMAT = "eqreg-shard-v1"
+TASKS = ("denoise", "inpaint")
 SHARD_ROLES = ("degraded", "clean", "mask")
 
 
@@ -172,7 +173,10 @@ def load_image(path):
     data = buf[off : off + need]
     if len(data) < need:
         raise NetpbmError(f"expected {need} pixel bytes, got {len(data)}")
-    img = np.frombuffer(data, dtype=np.uint8).reshape(h, w, channels)
+    try:
+        img = np.frombuffer(data, dtype=np.uint8).reshape(h, w, channels)
+    except ValueError as exc:  # an empty image whose other side numpy cannot hold
+        raise NetpbmError(f"{w}x{h} is not a valid image size: {exc}") from exc
     return (img.transpose(2, 0, 1)[None].astype(np.float32)) / 255.0
 
 
@@ -221,7 +225,7 @@ class Dataset:
 def make_dataset(task, count, seed, spec=None, sigma=0.1, mask_rate=0.3):
     """Render, degrade and wrap a shard for the given task."""
     spec = spec or SceneSpec()
-    if task not in ("denoise", "inpaint"):
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     rate = mask_rate if task == "inpaint" else None
     clean = generate_clean(spec, seed, count)
@@ -261,12 +265,14 @@ def read_shard(indir):
     try:
         with open(meta_path, "r", encoding="ascii") as fp:
             meta = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
         raise ShardError(f"unreadable sidecar {meta_path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ShardError(f"sidecar {meta_path} is not a JSON object")
     if meta.get("format") != SHARD_FORMAT:
         raise ShardError(f"unsupported shard format {meta.get('format')!r}")
+    if meta.get("task") not in TASKS:
+        raise ShardError(f"sidecar task must be one of {TASKS}, got {meta.get('task')!r}")
     try:
         roles = meta["records"]
         count = meta["count"]
@@ -291,7 +297,10 @@ def read_shard(indir):
     shape = (count, channels, size, size)
     out = {}
     for role in roles:
-        arr = np.stack(stacks[role]) if count else np.zeros(shape, dtype=np.float32)
+        try:
+            arr = np.stack(stacks[role]) if count else np.zeros(shape, dtype=np.float32)
+        except ValueError as exc:  # records of differing shapes, or a shape numpy cannot build
+            raise ShardError(f"{role} records do not stack to the sidecar's {shape}: {exc}") from exc
         if arr.shape != shape:
             raise ShardError(f"{role} stack shape {arr.shape} does not match sidecar {shape}")
         out[role] = arr

@@ -11,14 +11,13 @@ a cached sparse bilinear resampling matrix (float64, zero outside the grid);
 its adjoint is the exact matrix transpose.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import as_tensor4
-
-_PLAN_CACHE = {}  # (side, order, k) -> (csr, csr_transpose)
 
 
 def _build_plan(side, theta):
@@ -59,14 +58,11 @@ def _build_plan(side, theta):
     return plan
 
 
+@functools.cache
 def _plan_pair(side, order, k):
-    key = (side, order, k)
-    pair = _PLAN_CACHE.get(key)
-    if pair is None:
-        plan = _build_plan(side, 2.0 * math.pi * k / order)
-        pair = (plan, plan.T.tocsr())
-        _PLAN_CACHE[key] = pair
-    return pair
+    """(csr, csr_transpose) for rotation k of C_order on a side x side grid."""
+    plan = _build_plan(side, 2.0 * math.pi * k / order)
+    return plan, plan.T.tocsr()
 
 
 def _apply_plan(plan, x):

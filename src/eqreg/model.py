@@ -172,18 +172,17 @@ def build_network(in_channels, out_channels, group, n_hidden=8, depth=3, kernel_
     return Network(convs, group, n_hidden, residual)
 
 
-def init_weights(net, seed, dtype=None):
-    """Fresh uniform(-a, a) weights with a = sqrt(1 / (C_in * p^2)); zero bias.
+def init_weights(net, seed):
+    """Fresh uniform(-a, a) weights with a = sqrt(1 / (C_in * p^2)) in the net's dtype; zero bias.
 
     Draw order is fixed (layer order, row-major), so a seed pins every bit.
     """
     rng = np.random.default_rng(seed)
     new_params = []
     for p in net.conv_params:
-        dt = dtype or p.weight.dtype
         a = math.sqrt(1.0 / (p.in_channels * p.kernel_size**2))
-        w = rng.uniform(-a, a, size=p.weight.shape).astype(dt)
-        new_params.append(ConvParams(w, np.zeros(p.out_channels, dtype=dt)))
+        w = rng.uniform(-a, a, size=p.weight.shape).astype(p.weight.dtype)
+        new_params.append(ConvParams(w, np.zeros_like(p.bias)))
     return replace(net, conv_params=new_params)
 
 
@@ -254,6 +253,7 @@ def describe_architecture(net):
 
 
 def _parse_architecture(desc):
+    """(group, n_hidden, residual, [(cout, cin, p, p) weight shape per conv]) from a descriptor."""
     fields = desc.split()
     if not fields or fields[0] != CHECKPOINT_VERSION:
         raise EqtFormatError(f"unsupported checkpoint descriptor {desc!r}")
@@ -265,14 +265,13 @@ def _parse_architecture(desc):
         tokens = kv["layers"].split(",")
         if len(tokens) % 2 == 0 or any(t != "relu" for t in tokens[1::2]):
             raise ValueError("layers must alternate conv and relu, starting and ending with a conv")
-        convs = []
+        shapes = []
         for token in tokens[::2]:
             tag, cin, cout, p = token.split(":")
             if tag != "conv":
                 raise ValueError(f"unknown layer token {token!r}")
-            w = np.zeros((int(cout), int(cin), int(p), int(p)), dtype=np.float32)
-            convs.append(ConvParams(w, np.zeros(int(cout), dtype=np.float32)))
-        return Network(convs, group, n_hidden, residual)
+            shapes.append((int(cout), int(cin), int(p), int(p)))
+        return group, n_hidden, residual, shapes
     except (KeyError, ValueError) as exc:
         raise EqtFormatError(f"malformed checkpoint descriptor {desc!r}: {exc}") from exc
 
@@ -301,17 +300,20 @@ def load_checkpoint(path, expect=None):
             desc = raw_desc.decode("ascii")
         except UnicodeDecodeError as exc:
             raise EqtFormatError("checkpoint descriptor is not ASCII") from exc
-        net = _parse_architecture(desc)
-        new_params = []
-        for p in net.conv_params:
+        group, n_hidden, residual, shapes = _parse_architecture(desc)
+        tensors = []
+        for shape in shapes:
             w = read_tensor(fp)
             b = read_tensor(fp)
-            if w.shape != p.weight.shape or b.shape != p.bias.shape:
+            if w.shape != shape or b.shape != shape[:1]:
                 raise EqtFormatError(
                     f"checkpoint tensor shapes {w.shape}/{b.shape} do not match descriptor {desc!r}"
                 )
-            new_params.append(ConvParams(w, b))
-        net.set_conv_params(new_params)
+            tensors.append((w, b))
+    try:
+        net = Network([ConvParams(w, b) for w, b in tensors], group, n_hidden, residual)
+    except ValueError as exc:
+        raise EqtFormatError(f"checkpoint descriptor {desc!r} is not a valid network: {exc}") from exc
     if expect is not None:
         got, want = describe_architecture(net), describe_architecture(expect)
         if got != want:

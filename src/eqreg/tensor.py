@@ -245,7 +245,10 @@ def read_tensor(fp):
     payload = fp.read(count * dtype.itemsize)
     if len(payload) < count * dtype.itemsize:
         raise EqtFormatError(f"truncated EQT1 payload, expected {count} scalars")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    try:
+        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # an empty payload under more dims, or larger ones, than numpy takes
+        raise EqtFormatError(f"EQT1 shape {shape} is not a valid array shape: {exc}") from exc
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import TASKS
 from .losses import EqRegConfig, equi_injections, mismatch, reduce_sq, sample_k, total_loss
 from .model import add_grads, forward_with_tape, backprop, save_checkpoint
 from .tensor import ConvParams
@@ -55,8 +56,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.task not in ("denoise", "inpaint"):
-            raise ValueError(f"task must be 'denoise' or 'inpaint', got {self.task!r}")
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.eval_period < 1:
             raise ValueError(f"eval_period must be >= 1, got {self.eval_period}")
         if self.threads < 1:
@@ -130,7 +131,6 @@ class TrainState:
     net: object
     adam: AdamState
     rng: np.random.Generator
-    step: int = 0
     executor: ThreadPoolExecutor | None = None
 
 
@@ -152,7 +152,7 @@ def _map_slices(fn, n, size, executor):
 # --- one optimization step -------------------------------------------------------
 
 
-def _objective_chunk(net, x, clean, k, cfg, denom_task, denoms_equi, denom_out):
+def _objective_chunk(net, x, clean, k, cfg, denoms_equi, denom_out):
     """Partial sums and gradients for one batch chunk of the full objective.
 
     Denominators refer to the whole batch, so chunk results are additive.
@@ -164,7 +164,7 @@ def _objective_chunk(net, x, clean, k, cfg, denom_task, denoms_equi, denom_out):
     out_p, tape_p = forward_with_tape(net, x)
     diff = out_p - clean
     task_sq = float(np.sum(np.square(diff, dtype=np.float64)))
-    g_out_p = (2.0 / denom_task) * diff
+    g_out_p = (2.0 / denom_out) * diff
 
     out_r, tape_r = forward_with_tape(net, group.rotate_image(x, k))
     inj_p, inj_r, equi_sqs = equi_injections(tape_p, tape_r, k, group, reg, denoms_equi)
@@ -196,20 +196,18 @@ def train_step(state, batch, cfg):
     sums combine in chunk order; without an executor it runs as one chunk.
     """
     x, clean = batch
-    if x.shape[0] != clean.shape[0] or x.shape[0] == 0:
-        raise ValueError(f"bad batch shapes {x.shape} vs {clean.shape}")
     net = state.net
+    b, _, h, w = x.shape
+    if b == 0 or clean.shape != (b, net.out_channels, h, w):
+        raise ValueError(f"bad batch shapes {x.shape} vs {clean.shape} for {net.out_channels} output channels")
     reg = cfg.eqreg
     k = sample_k(net.group, state.rng)
 
-    b, _, h, w = x.shape
-    width = net.n_hidden * net.group.order
-    denom_task = clean.size
-    denoms_equi = [b * width * h * w] * net.n_hidden_layers
-    denom_out = b * net.out_channels * h * w
+    denoms_equi = [b * p.out_channels * h * w for p in net.conv_params[:-1]]
+    denom_out = clean.size
 
     def chunk(ix):
-        return _objective_chunk(net, x[ix], clean[ix], k, cfg, denom_task, denoms_equi, denom_out)
+        return _objective_chunk(net, x[ix], clean[ix], k, cfg, denoms_equi, denom_out)
 
     size = b if state.executor is None else STEP_CHUNK
     parts = _map_slices(chunk, b, size, state.executor)
@@ -219,18 +217,18 @@ def train_step(state, batch, cfg):
     oc_sq = sum(p[2] for p in parts)
     grads = functools.reduce(add_grads, (p[3] for p in parts))
 
-    task = task_sq / denom_task
+    task = task_sq / denom_out
     equi = sum(reduce_sq(s, d, reg) for s, d in zip(equi_sqs, denoms_equi))
     oc = reduce_sq(oc_sq, denom_out, reg)
     total = total_loss(task, equi, reg, oc)
-    losses = {"step": state.step + 1, "k": k, "task": task, "equi": equi, "total": total}
+    step = state.adam.t + 1
+    losses = {"step": step, "k": k, "task": task, "equi": equi, "total": total}
     if reg.output_consistency:
         losses["output_consistency"] = oc
     if not all(math.isfinite(v) for v in (task, equi, total, oc)):
-        raise NumericsError(f"non-finite loss at step {state.step + 1}: {losses}")
+        raise NumericsError(f"non-finite loss at step {step}: {losses}")
 
     adam_update(net, grads, state.adam, cfg)
-    state.step += 1
     return losses
 
 
@@ -380,25 +378,17 @@ def train(net, train_data, cfg, eval_data=None):
         for _ in range(cfg.steps):
             idx = state.rng.integers(0, n, size=cfg.batch_size)
             losses = train_step(state, (inputs[idx], clean[idx]), cfg)
-            if state.step % cfg.eval_period == 0 or state.step == cfg.steps:
+            step = state.adam.t
+            if step % cfg.eval_period == 0 or step == cfg.steps:
                 report = measure_equivariance(state.net, measured, executor=state.executor)
-                report.step = state.step
-                row = {
-                    "step": state.step,
-                    "task_loss": losses["task"],
-                    "equi_loss": losses["equi"],
-                    "total_loss": losses["total"],
-                    "psnr": report.psnr,
-                    "e_out_mean": report.e_out_mean,
-                    "e_feat_mean": report.e_feat_mean,
-                }
-                for k, v in report.output_errors.items():
-                    row[f"e_out_k{k}"] = v
-                rows.append(row)
+                report.step = step
+                values = [step, losses["task"], losses["equi"], losses["total"],
+                          report.psnr, report.e_out_mean, report.e_feat_mean, *report.output_errors.values()]
+                rows.append(dict(zip(columns, values)))
                 if out_dir:
                     with open(csv_path, "a", encoding="ascii") as fp:
-                        fp.write(csv_line(row[c] for c in columns))
-                    save_checkpoint(os.path.join(out_dir, f"ckpt_{state.step:06d}.eqnet"), state.net)
+                        fp.write(csv_line(values))
+                    save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}.eqnet"), state.net)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "ckpt_final.eqnet"), state.net)
     return state.net, rows, report

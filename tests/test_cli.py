@@ -131,6 +131,20 @@ class TestTrain:
         assert res.returncode == 2
         assert "more than" in res.stderr and "Traceback" not in res.stderr
 
+    def test_sidecar_without_valid_task_is_io_error(self, tmp_path, shard):
+        for name, task in (("no_task", None), ("bad_task", "foo")):
+            bad = tmp_path / name
+            bad.mkdir()
+            (bad / "data.eqt1").write_bytes((shard / "data.eqt1").read_bytes())
+            meta = json.loads((shard / "meta.json").read_text())
+            meta.pop("task")
+            if task is not None:
+                meta["task"] = task
+            (bad / "meta.json").write_text(json.dumps(meta))
+            res = run_subprocess("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--steps", "1")
+            assert res.returncode == 2, res.stderr
+            assert "task" in res.stderr and "Traceback" not in res.stderr
+
     def test_byte_identical_reruns(self, tmp_path, shard):
         outs = []
         for name in ("r1", "r2"):
@@ -192,6 +206,15 @@ class TestEval:
         p = tmp_path / "huge.eqnet"
         p.write_bytes(good[:desc_end] + b"EQT1" + bytes([0, 8]) + b"\xff\xff\xff\xff" * 8)
         assert run_cli("eval", "--ckpt", str(p), "--data", str(shard)) == 2
+
+    def test_huge_declared_conv_is_io_error(self, tmp_path, shard):
+        # 60 bytes of descriptor declaring a 1.3 TiB weight, and no tensors
+        desc = b"eqnet1 order=4 n_hidden=2 residual=1 layers=conv:200000:200000:3"
+        p = tmp_path / "huge_desc.eqnet"
+        p.write_bytes(len(desc).to_bytes(4, "little") + desc)
+        res = run_subprocess("eval", "--ckpt", str(p), "--data", str(shard))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestMeasureEquiv:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eqreg.tensor import EqtFormatError
+from eqreg.tensor import EqtFormatError, write_tensor
 from eqreg.data import (
     Dataset,
     NetpbmError,
@@ -200,6 +200,13 @@ class TestNetpbm:
         with pytest.raises(NetpbmError, match="pixel"):
             load_image(path)
 
+    @pytest.mark.parametrize("header", [b"P5 0 1180591620717411303424 255\n", b"P6 4611686018427387904 0 255\n"])
+    def test_empty_image_with_huge_side_rejected(self, tmp_path, header):
+        p = tmp_path / "huge.pgm"
+        p.write_bytes(header)
+        with pytest.raises(NetpbmError, match="size"):
+            load_image(p)
+
     def test_header_garbage(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\nxx yy\n255\n\x00")
@@ -265,6 +272,13 @@ class TestDatasets:
         with pytest.raises(ShardError, match="JSON object"):
             read_shard(tmp_path)
 
+    @pytest.mark.parametrize("raw", [b"\x80{}", b"[" * 100_000 + b"]" * 100_000], ids=["non_ascii", "deep_nesting"])
+    def test_unparseable_sidecar_rejected(self, tmp_path, raw):
+        write_shard(tmp_path, make_dataset("denoise", 2, seed=16))
+        (tmp_path / "meta.json").write_bytes(raw)
+        with pytest.raises(ShardError, match="unreadable"):
+            read_shard(tmp_path)
+
     @pytest.mark.parametrize("key, value", [
         ("count", "2"),
         ("count", -1),
@@ -284,6 +298,18 @@ class TestDatasets:
         with pytest.raises(ShardError, match=key):
             read_shard(tmp_path)
 
+    @pytest.mark.parametrize("task", [None, "foo", ["denoise"]])
+    def test_sidecar_task_must_be_known(self, tmp_path, task):
+        write_shard(tmp_path, make_dataset("denoise", 2, seed=16))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        if task is None:
+            del meta["task"]
+        else:
+            meta["task"] = task
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ShardError, match="task"):
+            read_shard(tmp_path)
+
     def test_trailing_records_rejected(self, tmp_path):
         # a sidecar count below the stream's sample count must not truncate silently
         write_shard(tmp_path, make_dataset("denoise", 5, seed=17))
@@ -291,6 +317,23 @@ class TestDatasets:
         meta["count"] = 3
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ShardError, match="more than"):
+            read_shard(tmp_path)
+
+    def test_unstackable_records_rejected(self, tmp_path):
+        write_shard(tmp_path, make_dataset("denoise", 2, seed=17))
+        with open(tmp_path / "data.eqt1", "wb") as fp:
+            for side in (32, 32, 16, 16):  # sample 1 is smaller than sample 0
+                write_tensor(fp, np.zeros((1, side, side), dtype=np.float32))
+        with pytest.raises(ShardError, match="stack"):
+            read_shard(tmp_path)
+
+    @pytest.mark.parametrize("size", [10**12, 2**70])
+    def test_empty_shard_with_huge_size_rejected(self, tmp_path, size):
+        write_shard(tmp_path, make_dataset("denoise", 0, seed=17))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["size"] = size
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ShardError, match="stack"):
             read_shard(tmp_path)
 
     def test_truncated_tensor_stream_rejected(self, tmp_path):

@@ -108,7 +108,7 @@ class TestLayerLoss:
 
 class TestEquiLoss:
     def net_and_tapes(self, seed, k, size=8):
-        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3), seed, dtype=np.float64)
+        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64), seed)
         x = np.random.default_rng(seed + 100).standard_normal((2, 1, size, size))
         _, tp = forward_with_tape(net, x)
         _, tr = forward_with_tape(net, G4.rotate_image(x, k))
@@ -131,7 +131,7 @@ class TestEquiLoss:
             equi_loss(tp, tr, 1, G4, EqRegConfig())
 
     def test_single_hidden_layer_reduces_to_layer_loss(self):
-        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=2), 40, dtype=np.float64)
+        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=2, dtype=np.float64), 40)
         x = np.random.default_rng(41).standard_normal((1, 1, 6, 6))
         _, tp = forward_with_tape(net, x)
         _, tr = forward_with_tape(net, G4.rotate_image(x, 2))
@@ -191,7 +191,7 @@ class TestEquiGradient:
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     def test_finite_difference_on_weights(self, reduction):
         # gradient of the regularizer alone, through both branches
-        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3), 30, dtype=np.float64)
+        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64), 30)
         x = np.random.default_rng(31).standard_normal((1, 1, 6, 6))
         cfg = EqRegConfig(reduction=reduction)
         k = 1

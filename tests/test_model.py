@@ -18,7 +18,7 @@ from eqreg.model import (
     network_copy,
     save_checkpoint,
 )
-from eqreg.tensor import ConvParams, EqtFormatError, conv2d_forward, frobenius_sq
+from eqreg.tensor import ConvParams, EqtFormatError, conv2d_forward, frobenius_sq, write_tensor
 
 G4 = RotationGroup(4)
 
@@ -35,7 +35,7 @@ def write_descriptor(path, desc):
 
 def small_net(seed=0, depth=3, n_hidden=2, in_ch=1, out_ch=1, residual=True, dtype=np.float32):
     net = build_network(in_ch, out_ch, G4, n_hidden=n_hidden, depth=depth, residual=residual, dtype=dtype)
-    return init_weights(net, seed, dtype=dtype)
+    return init_weights(net, seed)
 
 
 class TestForward:
@@ -125,7 +125,7 @@ class TestInit:
     def test_uniform_bounds_and_variance(self):
         # uniform(-a, a) has variance a^2 / 3; over 1e5 draws the sample
         # variance lands well within 5%
-        net = init_weights(build_network(48, 48, G4, n_hidden=64, depth=2, kernel_size=3), 11, dtype=np.float64)
+        net = init_weights(build_network(48, 48, G4, n_hidden=64, depth=2, kernel_size=3, dtype=np.float64), 11)
         w = net.conv_params[0].weight  # 256 * 48 * 9 = 110592 draws
         a = np.sqrt(1.0 / (48 * 9))
         assert abs(w).max() <= a
@@ -248,6 +248,34 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(EqtFormatError):
             load_checkpoint(path)
+
+    def test_huge_declared_conv_allocates_nothing(self, tmp_path):
+        # the descriptor alone declares a 1.3 TiB weight; the loader must refuse
+        # the missing tensor instead of allocating the declared shape
+        path = write_descriptor(tmp_path / "huge.eqnet", "eqnet1 order=4 n_hidden=2 residual=1 layers=conv:200000:200000:3")
+        with pytest.raises(EqtFormatError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layers, match", [
+        ("conv:1:8:3,relu,conv:4:1:3", "mismatch"),
+        ("conv:1:6:3,relu,conv:6:1:3", "n_hidden"),
+        ("conv:1:1:2", "odd"),
+    ])
+    def test_invalid_network_rejected(self, tmp_path, layers, match):
+        # with and without the tensors the descriptor declares
+        desc = f"eqnet1 order=4 n_hidden=2 residual=1 layers={layers}"
+        bare = write_descriptor(tmp_path / "bare.eqnet", desc)
+        full = tmp_path / "full.eqnet"
+        with open(full, "wb") as fp:
+            fp.write(bare.read_bytes())
+            for token in layers.split(",")[::2]:
+                cin, cout, p = (int(v) for v in token.split(":")[1:])
+                write_tensor(fp, np.zeros((cout, cin, p, p), dtype=np.float32))
+                write_tensor(fp, np.zeros(cout, dtype=np.float32))
+        with pytest.raises(EqtFormatError):
+            load_checkpoint(bare)
+        with pytest.raises(EqtFormatError, match=match):
+            load_checkpoint(full)
 
     def test_descriptor_bytes_pinned(self, tmp_path):
         want = b"eqnet1 order=4 n_hidden=2 residual=1 layers=conv:1:8:3,relu,conv:8:8:3,relu,conv:8:1:3"

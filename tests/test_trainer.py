@@ -37,7 +37,7 @@ G4 = RotationGroup(4)
 
 def tiny_net(seed=0, in_ch=1, out_ch=1, dtype=np.float32):
     net = build_network(in_ch, out_ch, G4, n_hidden=2, depth=3, dtype=dtype)
-    return init_weights(net, seed, dtype=dtype)
+    return init_weights(net, seed)
 
 
 def tiny_batch(seed, b=4, ch=1, size=8):
@@ -190,6 +190,20 @@ class TestTrainStep:
             train_step(state, tiny_batch(16), cfg)
         assert [(p.weight.tobytes(), p.bias.tobytes()) for p in state.net.conv_params] == before
 
+    @pytest.mark.parametrize("out_ch, clean_ch", [(3, 1), (1, 3)])
+    def test_clean_channels_must_match_output(self, out_ch, clean_ch):
+        # a 3-output net against 1-channel targets used to broadcast and train;
+        # the reverse failed deep inside the conv backward
+        net = tiny_net(seed=17, in_ch=3, out_ch=out_ch)
+        cfg = TrainConfig(steps=1)
+        state = init_state(net, cfg)
+        x = np.random.default_rng(0).random((4, 3, 8, 8), dtype=np.float32)
+        clean = np.zeros((4, clean_ch, 8, 8), dtype=np.float32)
+        before = [p.weight.tobytes() for p in net.conv_params]
+        with pytest.raises(ValueError, match="output channels"):
+            train_step(state, (x, clean), cfg)
+        assert [p.weight.tobytes() for p in state.net.conv_params] == before and state.adam.t == 0
+
     def test_empty_batch_rejected(self):
         net = tiny_net(seed=17)
         cfg = TrainConfig(steps=1)
@@ -213,7 +227,7 @@ class TestTrainStep:
         state = init_state(net, cfg)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
             train_step(state, tiny_batch(16), cfg)
-        assert state.adam.t == 0 and state.step == 0
+        assert state.adam.t == 0
         for m in (*state.adam.m, *state.adam.v):
             assert not any(a.any() for a in m)
 
@@ -289,11 +303,8 @@ class TestFullObjectiveGradient:
         from eqreg.trainer import _objective_chunk
 
         b, _, h, w = x.shape
-        width = net.n_hidden * net.group.order
-        denoms = [b * width * h * w] * net.n_hidden_layers
-        _, _, _, grads = _objective_chunk(
-            network_copy(net), x, clean, k, cfg, clean.size, denoms, b * h * w
-        )
+        denoms = [b * p.out_channels * h * w for p in net.conv_params[:-1]]
+        _, _, _, grads = _objective_chunk(network_copy(net), x, clean, k, cfg, denoms, clean.size)
 
         checked = 0
         for li in range(len(grads)):
