@@ -42,7 +42,6 @@ _EXPORTS = {
     "output_consistency_loss": "losses",
     "total_loss": "losses",
     "equi_injections": "losses",
-    "equi_loss_backward": "losses",
     # data
     "SceneSpec": "data",
     "Dataset": "data",
@@ -67,6 +66,7 @@ _EXPORTS = {
     "psnr": "trainer",
     "adam_update": "trainer",
     "init_state": "trainer",
+    "objective": "trainer",
     "train_step": "trainer",
     "train": "trainer",
     "evaluate": "trainer",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import add_grads, backprop
 from .tensor import frobenius_sq
 
 
@@ -120,15 +119,3 @@ def equi_injections(tape_plain, tape_rotated, k, group, cfg, numels):
         inject_rot.append(gr)
     return inject_plain, inject_rot, sq_sums
 
-
-def equi_loss_backward(net, tape_plain, tape_rotated, k, cfg):
-    """Exact weight gradients of equi_loss (unscaled by lam).
-
-    Runs the reverse sweep through both branches with the injections from
-    equi_injections. Returns [(grad_w, grad_b), ...] per conv layer.
-    """
-    numels = [h.size for h in tape_plain.hidden]
-    inject_plain, inject_rot, _ = equi_injections(tape_plain, tape_rotated, k, net.group, cfg, numels)
-    gp = backprop(net, tape_plain, hidden_grads=inject_plain)
-    gr = backprop(net, tape_rotated, hidden_grads=inject_rot)
-    return add_grads(gp, gr)

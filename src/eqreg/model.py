@@ -42,7 +42,11 @@ class Network:
     def __post_init__(self):
         if not self.conv_params:
             raise ValueError("network needs at least one conv")
+        if self.n_hidden < 1:
+            raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
         convs = self.conv_params
+        if any(p.in_channels < 1 or p.out_channels < 1 for p in convs):
+            raise ValueError("every conv needs at least one input and one output channel")
         for a, b in zip(convs, convs[1:]):
             if b.in_channels != a.out_channels:
                 raise ValueError(
@@ -309,6 +313,8 @@ def load_checkpoint(path, expect=None):
                 raise EqtFormatError(
                     f"checkpoint tensor shapes {w.shape}/{b.shape} do not match descriptor {desc!r}"
                 )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise EqtFormatError("checkpoint holds a non-finite weight or bias")
             tensors.append((w, b))
     try:
         net = Network([ConvParams(w, b) for w, b in tensors], group, n_hidden, residual)

@@ -2,13 +2,14 @@
 
 Each step runs the network on a batch and on its k-rotated copy (one shared k
 per step), applies the task loss to the plain branch and the equivariance
-penalty across both, and takes an Adam step on the exact gradient. Reported
-losses use fast float64 accumulation; the exactly-rounded variants live in
-eqreg.losses. On a thread pool a step splits its batch into STEP_CHUNK-image
-chunks, whatever the pool's size, and combines their partial sums in chunk
-order; without a pool it runs the batch whole. The meter and evaluate stream
-METER_BATCH-image batches through the same helper, on the pool or inline, so
-their reports ignore the thread count. cfg.threads only sizes the pool."""
+penalty across both, and takes an Adam step on the exact gradient, which
+objective computes. Reported losses use fast float64 accumulation; the
+exactly-rounded variants live in eqreg.losses. On a thread pool a step splits
+its batch into STEP_CHUNK-image chunks, whatever the pool's size, and
+combines their partial sums in chunk order; without a pool it runs the batch
+whole. The meter and evaluate stream METER_BATCH-image batches through the
+same helper, on the pool or inline, so their reports ignore the thread count.
+cfg.threads only sizes the pool."""
 
 import functools
 import json
@@ -152,13 +153,12 @@ def _map_slices(fn, n, size, executor):
 # --- one optimization step -------------------------------------------------------
 
 
-def _objective_chunk(net, x, clean, k, cfg, denoms_equi, denom_out):
+def _objective_chunk(net, x, clean, k, reg, denoms_equi, denom_out):
     """Partial sums and gradients for one batch chunk of the full objective.
 
     Denominators refer to the whole batch, so chunk results are additive.
     Returns (task_sq, equi_sqs, oc_sq, grads per conv layer).
     """
-    reg = cfg.eqreg
     group = net.group
 
     out_p, tape_p = forward_with_tape(net, x)
@@ -187,48 +187,47 @@ def _objective_chunk(net, x, clean, k, cfg, denoms_equi, denom_out):
     return task_sq, equi_sqs, oc_sq, grads
 
 
-def train_step(state, batch, cfg):
-    """One dual-branch gradient step; returns the loss breakdown.
+def objective(net, batch, k, reg, executor=None):
+    """The full objective at group element k and its exact weight gradients.
 
-    The rotated branch always runs (the equi term is reported even at lam 0)
-    but contributes gradients only when lam > 0 or output consistency is on.
-    On state.executor the batch runs in STEP_CHUNK-image chunks whose partial
-    sums combine in chunk order; without an executor it runs as one chunk.
+    The task MSE on the plain branch plus reg's penalties across the plain
+    and the k-rotated branch; the rotated branch always runs (the equi term
+    is reported even at lam 0) but contributes gradients only when lam > 0
+    or output consistency is on. On executor the batch runs in
+    STEP_CHUNK-image chunks whose partial sums combine in chunk order;
+    without one it runs as one chunk. Returns (losses, grads per conv layer).
     """
     x, clean = batch
-    net = state.net
     b, _, h, w = x.shape
     if b == 0 or clean.shape != (b, net.out_channels, h, w):
         raise ValueError(f"bad batch shapes {x.shape} vs {clean.shape} for {net.out_channels} output channels")
-    reg = cfg.eqreg
-    k = sample_k(net.group, state.rng)
-
     denoms_equi = [b * p.out_channels * h * w for p in net.conv_params[:-1]]
     denom_out = clean.size
 
     def chunk(ix):
-        return _objective_chunk(net, x[ix], clean[ix], k, cfg, denoms_equi, denom_out)
+        return _objective_chunk(net, x[ix], clean[ix], k, reg, denoms_equi, denom_out)
 
-    size = b if state.executor is None else STEP_CHUNK
-    parts = _map_slices(chunk, b, size, state.executor)
+    parts = _map_slices(chunk, b, b if executor is None else STEP_CHUNK, executor)
 
-    task_sq = sum(p[0] for p in parts)
+    task = sum(p[0] for p in parts) / denom_out
     equi_sqs = [sum(p[1][i] for p in parts) for i in range(net.n_hidden_layers)]
-    oc_sq = sum(p[2] for p in parts)
-    grads = functools.reduce(add_grads, (p[3] for p in parts))
-
-    task = task_sq / denom_out
     equi = sum(reduce_sq(s, d, reg) for s, d in zip(equi_sqs, denoms_equi))
-    oc = reduce_sq(oc_sq, denom_out, reg)
-    total = total_loss(task, equi, reg, oc)
-    step = state.adam.t + 1
-    losses = {"step": step, "k": k, "task": task, "equi": equi, "total": total}
+    oc = reduce_sq(sum(p[2] for p in parts), denom_out, reg)
+    losses = {"task": task, "equi": equi, "total": total_loss(task, equi, reg, oc)}
     if reg.output_consistency:
         losses["output_consistency"] = oc
-    if not all(math.isfinite(v) for v in (task, equi, total, oc)):
-        raise NumericsError(f"non-finite loss at step {step}: {losses}")
+    return losses, functools.reduce(add_grads, (p[3] for p in parts))
 
-    adam_update(net, grads, state.adam, cfg)
+
+def train_step(state, batch, cfg):
+    """One Adam step on objective at a freshly drawn k; returns the loss breakdown."""
+    k = sample_k(state.net.group, state.rng)
+    terms, grads = objective(state.net, batch, k, cfg.eqreg, state.executor)
+    step = state.adam.t + 1
+    losses = {"step": step, "k": k, **terms}
+    if not all(math.isfinite(v) for v in terms.values()):
+        raise NumericsError(f"non-finite loss at step {step}: {losses}")
+    adam_update(state.net, grads, state.adam, cfg)
     return losses
 
 

@@ -16,17 +16,16 @@ import numpy as np
 
 from eqreg.data import make_dataset
 from eqreg.group import RotationGroup
-from eqreg.losses import EqRegConfig, equi_loss, equi_loss_backward, layer_loss
+from eqreg.losses import EqRegConfig, equi_loss, layer_loss
 from eqreg.model import (
     LiftingConvOracle,
-    backprop,
     build_network,
     forward_with_tape,
     init_weights,
     network_copy,
 )
 from eqreg.tensor import frobenius_sq
-from eqreg.trainer import TrainConfig, psnr, train
+from eqreg.trainer import TrainConfig, objective, psnr, train
 
 G4 = RotationGroup(4)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -124,16 +123,13 @@ def test_full_objective_gradient():
     k = 1
     cfg = EqRegConfig(lam=0.1)
 
-    def objective(n):
+    def exact(n):
         out, tp = forward_with_tape(n, x)
         _, tr = forward_with_tape(n, G4.rotate_image(x, k))
         return float(np.mean(np.square(out - clean))) + cfg.lam * equi_loss(tp, tr, k, G4, cfg)
 
-    out, tp = forward_with_tape(net, x)
-    _, tr = forward_with_tape(net, G4.rotate_image(x, k))
-    task_g = backprop(net, tp, grad_output=(2.0 / clean.size) * (out - clean))
-    equi_g = equi_loss_backward(net, tp, tr, k, cfg)
-    grads = [(tw + cfg.lam * ew, tb + cfg.lam * eb) for (tw, tb), (ew, eb) in zip(task_g, equi_g)]
+    # the gradient train_step hands to adam_update
+    _, grads = objective(net, (x, clean), k, cfg)
 
     checked, worst = 0, 0.0
     for li, (gw, _) in enumerate(grads):
@@ -142,7 +138,7 @@ def test_full_objective_gradient():
             up, down = network_copy(net), network_copy(net)
             up.conv_params[li].weight[idx] += 1e-5
             down.conv_params[li].weight[idx] -= 1e-5
-            num = (objective(up) - objective(down)) / 2e-5
+            num = (exact(up) - exact(down)) / 2e-5
             rel = abs(num - gw[idx]) / max(abs(num), abs(gw[idx]), 1e-10)
             worst = max(worst, rel)
             checked += 1

@@ -8,6 +8,7 @@ import pytest
 
 from eqreg.cli import main
 from eqreg.data import read_shard, save_image
+from eqreg.model import load_checkpoint, save_checkpoint
 from eqreg.tensor import load_tensor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -145,6 +146,11 @@ class TestTrain:
             assert res.returncode == 2, res.stderr
             assert "task" in res.stderr and "Traceback" not in res.stderr
 
+    def test_zero_width_is_usage_error(self, tmp_path, shard):
+        res = run_subprocess("train", "--data", str(shard), "--out", str(tmp_path / "o"), "--steps", "1", "--n-hidden", "0")
+        assert res.returncode == 1, res.stderr
+        assert "n_hidden" in res.stderr and "Traceback" not in res.stderr
+
     def test_byte_identical_reruns(self, tmp_path, shard):
         outs = []
         for name in ("r1", "r2"):
@@ -215,6 +221,17 @@ class TestEval:
         res = run_subprocess("eval", "--ckpt", str(p), "--data", str(shard))
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_non_finite_weight_is_io_error(self, tmp_path, trained, shard):
+        # one NaN weight used to load: eval printed mean_psnr=nan, measure-equiv e_out_mean=inf
+        net = load_checkpoint(trained / "ckpt_final.eqnet")
+        net.conv_params[0].weight[0, 0, 1, 1] = np.nan
+        p = tmp_path / "nan.eqnet"
+        save_checkpoint(p, net)
+        for cmd in (["eval"], ["measure-equiv", "--out", str(tmp_path / "equiv.csv")]):
+            res = run_subprocess(*cmd, "--ckpt", str(p), "--data", str(shard))
+            assert res.returncode == 2, res.stderr
+            assert "non-finite" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestMeasureEquiv:

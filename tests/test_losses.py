@@ -7,27 +7,27 @@ from eqreg.group import RotationGroup
 from eqreg.losses import (
     EqRegConfig,
     equi_loss,
-    equi_loss_backward,
     layer_loss,
     output_consistency_loss,
     sample_k,
     total_loss,
 )
 from eqreg.model import build_network, forward_with_tape, init_weights, network_copy
+from eqreg.trainer import objective
 
 from naive_ref import frob_sq_pairs
 
 G4 = RotationGroup(4)
 
 
-def fd_param(objective, net, layer_idx, kind, idx, h=1e-5):
-    """Central difference of objective(net) in one conv parameter coordinate."""
+def fd_param(loss_fn, net, layer_idx, kind, idx, h=1e-5):
+    """Central difference of loss_fn(net) in one conv parameter coordinate."""
     vals = []
     for sign in (+1.0, -1.0):
         dup = network_copy(net)
         arr = getattr(dup.conv_params[layer_idx], kind)
         arr[idx] += sign * h
-        vals.append(objective(dup))
+        vals.append(loss_fn(dup))
     return (vals[0] - vals[1]) / (2.0 * h)
 
 
@@ -187,35 +187,39 @@ class TestTotalLoss:
         assert total_loss(1.0, 2.0, cfg, output_consistency=3.0) == 1.0 + 0.5 * 2.0 + 2.0 * 3.0
 
 
+def equi_grads(net, x, k, cfg):
+    """objective's gradients of lam * equi: clean is the plain output, so the task term is exactly 0."""
+    clean, _ = forward_with_tape(net, x)
+    return objective(net, (x, clean), k, cfg)[1]
+
+
 class TestEquiGradient:
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     def test_finite_difference_on_weights(self, reduction):
         # gradient of the regularizer alone, through both branches
         net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64), 30)
         x = np.random.default_rng(31).standard_normal((1, 1, 6, 6))
-        cfg = EqRegConfig(reduction=reduction)
+        cfg = EqRegConfig(lam=1.0, reduction=reduction)
         k = 1
 
-        def objective(n):
+        def exact(n):
             _, tp = forward_with_tape(n, x)
             _, tr = forward_with_tape(n, G4.rotate_image(x, k))
             return equi_loss(tp, tr, k, G4, cfg)
 
-        _, tp = forward_with_tape(net, x)
-        _, tr = forward_with_tape(net, G4.rotate_image(x, k))
-        grads = equi_loss_backward(net, tp, tr, k, cfg)
+        grads = equi_grads(net, x, k, cfg)
 
         rng = np.random.default_rng(32)
         checked = 0
         for li, (gw, gb) in enumerate(grads):
             for _ in range(4):
                 idx = tuple(int(rng.integers(0, s)) for s in gw.shape)
-                num = fd_param(objective, net, li, "weight", idx)
+                num = fd_param(exact, net, li, "weight", idx)
                 ana = gw[idx]
                 assert abs(num - ana) <= 1e-6 * max(1.0, abs(num)), (li, idx, num, ana)
                 checked += 1
             bidx = (int(rng.integers(0, gb.shape[0])),)
-            num = fd_param(objective, net, li, "bias", bidx)
+            num = fd_param(exact, net, li, "bias", bidx)
             assert abs(num - gb[bidx]) <= 1e-6 * max(1.0, abs(num))
             checked += 1
         assert checked >= 15
@@ -225,7 +229,5 @@ class TestEquiGradient:
         # its gradient both vanish
         net = build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64)
         x = np.random.default_rng(33).standard_normal((1, 1, 6, 6))
-        _, tp = forward_with_tape(net, x)
-        _, tr = forward_with_tape(net, G4.rotate_image(x, 1))
-        grads = equi_loss_backward(net, tp, tr, 1, EqRegConfig())
+        grads = equi_grads(net, x, 1, EqRegConfig(lam=1.0))
         assert all(not gw.any() and not gb.any() for gw, gb in grads)

@@ -84,6 +84,14 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match="n_hidden"):
             Network([conv(1, 6), conv(6, 1)], G4, n_hidden=2)
 
+    def test_zero_width_rejected(self):
+        # n_hidden 0 used to build empty convs and fail inside init_weights
+        with pytest.raises(ValueError, match="n_hidden must be"):
+            build_network(1, 1, G4, n_hidden=0)
+        for convs in ([conv(1, 0), conv(0, 1)], [conv(0, 1)]):
+            with pytest.raises(ValueError, match="at least one input"):
+                Network(convs, G4, n_hidden=1, residual=False)
+
     def test_alternation_enforced(self, tmp_path):
         # a conv list is always an alternating stack; descriptors on disk are
         # where a non-alternating one can still appear
@@ -260,6 +268,7 @@ class TestCheckpoint:
         ("conv:1:8:3,relu,conv:4:1:3", "mismatch"),
         ("conv:1:6:3,relu,conv:6:1:3", "n_hidden"),
         ("conv:1:1:2", "odd"),
+        ("conv:1:0:3,relu,conv:0:1:3", "at least one input"),
     ])
     def test_invalid_network_rejected(self, tmp_path, layers, match):
         # with and without the tensors the descriptor declares
@@ -276,6 +285,16 @@ class TestCheckpoint:
             load_checkpoint(bare)
         with pytest.raises(EqtFormatError, match=match):
             load_checkpoint(full)
+
+    @pytest.mark.parametrize("kind, value", [("weight", np.nan), ("bias", -np.inf)])
+    def test_non_finite_parameter_rejected(self, tmp_path, kind, value):
+        # training never writes one, so a non-finite value means a damaged file
+        net = small_net(seed=8)
+        getattr(net.conv_params[1], kind)[0] = value
+        path = tmp_path / "net.eqnet"
+        save_checkpoint(path, net)
+        with pytest.raises(EqtFormatError, match="non-finite"):
+            load_checkpoint(path)
 
     def test_descriptor_bytes_pinned(self, tmp_path):
         want = b"eqnet1 order=4 n_hidden=2 residual=1 layers=conv:1:8:3,relu,conv:8:8:3,relu,conv:8:1:3"

@@ -8,7 +8,7 @@ import pytest
 
 from eqreg.data import make_dataset
 from eqreg.group import RotationGroup
-from eqreg.losses import EqRegConfig
+from eqreg.losses import EqRegConfig, equi_loss, output_consistency_loss, total_loss
 from eqreg.model import (
     LiftingConvOracle,
     build_network,
@@ -25,6 +25,7 @@ from eqreg.trainer import (
     evaluate,
     init_state,
     measure_equivariance,
+    objective,
     psnr,
     train,
     train_step,
@@ -35,8 +36,8 @@ from naive_ref import measure_equivariance_whole_shard
 G4 = RotationGroup(4)
 
 
-def tiny_net(seed=0, in_ch=1, out_ch=1, dtype=np.float32):
-    net = build_network(in_ch, out_ch, G4, n_hidden=2, depth=3, dtype=dtype)
+def tiny_net(seed=0, in_ch=1, out_ch=1, dtype=np.float32, group=G4):
+    net = build_network(in_ch, out_ch, group, n_hidden=2, depth=3, dtype=dtype)
     return init_weights(net, seed)
 
 
@@ -271,40 +272,29 @@ class TestTrainStep:
 
 
 class TestFullObjectiveGradient:
-    def test_finite_difference(self):
-        # analytic gradient of task + lam * equi against central differences,
-        # float64 end to end
-        from eqreg.losses import equi_loss
-
-        net = tiny_net(seed=22, dtype=np.float64)
+    @pytest.mark.parametrize("order, reg", [
+        (4, EqRegConfig(lam=0.1)),
+        (4, EqRegConfig(lam=0.1, reduction="sum")),
+        (8, EqRegConfig(lam=0.1, reduction="sum", output_consistency=True, output_consistency_weight=0.5)),
+    ], ids=["c4-mean", "c4-sum", "c8-oc-sum"])
+    def test_finite_difference(self, order, reg):
+        # the grads objective returns, which train_step hands to adam_update,
+        # against central differences of the exact loss oracles, float64 end to end
+        group = RotationGroup(order)
+        net = tiny_net(seed=22, dtype=np.float64, group=group)
         rng = np.random.default_rng(23)
         x = rng.random((2, 1, 8, 8))
         clean = rng.random((2, 1, 8, 8))
-        k = 2
-        cfg = TrainConfig(steps=1, eqreg=EqRegConfig(lam=0.1))
+        k = 2 if order == 4 else 3  # a quarter turn on C4, an interpolated 135 degrees on C8
 
-        def objective(n):
+        def exact(n):
             out, tp = forward_with_tape(n, x)
-            _, tr = forward_with_tape(n, G4.rotate_image(x, k))
+            out_r, tr = forward_with_tape(n, group.rotate_image(x, k))
             task = float(np.mean(np.square(out - clean)))
-            return task + cfg.eqreg.lam * equi_loss(tp, tr, k, G4, cfg.eqreg)
+            oc = output_consistency_loss(out, out_r, k, group, reg)
+            return total_loss(task, equi_loss(tp, tr, k, group, reg), reg, oc)
 
-        # reuse the training path for the analytic side by forcing this k
-        state = init_state(network_copy(net), cfg)
-
-        class FixedK:
-            def integers(self, lo, hi):
-                return k
-
-            def __getattr__(self, name):
-                raise AttributeError(name)
-
-        state.rng = FixedK()
-        from eqreg.trainer import _objective_chunk
-
-        b, _, h, w = x.shape
-        denoms = [b * p.out_channels * h * w for p in net.conv_params[:-1]]
-        _, _, _, grads = _objective_chunk(network_copy(net), x, clean, k, cfg, denoms, clean.size)
+        _, grads = objective(net, (x, clean), k, reg)
 
         checked = 0
         for li in range(len(grads)):
@@ -313,10 +303,10 @@ class TestFullObjectiveGradient:
                 idx = tuple(int(rng.integers(0, s)) for s in gw.shape)
                 dup = network_copy(net)
                 dup.conv_params[li].weight[idx] += 1e-5
-                up = objective(dup)
+                up = exact(dup)
                 dup = network_copy(net)
                 dup.conv_params[li].weight[idx] -= 1e-5
-                down = objective(dup)
+                down = exact(dup)
                 num = (up - down) / 2e-5
                 rel = abs(num - gw[idx]) / max(abs(num), abs(gw[idx]), 1e-10)
                 assert rel < 1e-4, (li, idx, num, gw[idx])

@@ -14,7 +14,8 @@
 # runs with evaluation every 10 steps (denoise C4 at EQREG_THREADS=1 and 2,
 # inpaint C8 with output consistency, sum reduction, and lambda 0 at depth 4
 # without the residual); measure-equiv on a C4 and a C8 checkpoint; eval on
-# the C4 one. config.json records its run directory, so it is hashed with
+# the C4 one; dump-features of the C4 one on a fixed 16x16 PGM that python3
+# writes here. config.json records its run directory, so it is hashed with
 # the out_dir value masked.
 set -eu
 
@@ -48,8 +49,10 @@ train c4_plain --data dn --seed 8 --lambda 0 --depth 4 --no-residual
 eqreg measure-equiv --ckpt c4_t1/ckpt_final.eqnet --data dn --out equiv_c4.csv
 eqreg measure-equiv --ckpt c8_oc/ckpt_final.eqnet --data ip --out equiv_c8.csv
 PYTHONPATH="$src" python3 -m eqreg eval --ckpt c4_t1/ckpt_final.eqnet --data dn > eval_c4.txt
+python3 -c 'import sys; sys.stdout.buffer.write(b"P5\n16 16\n255\n" + bytes(37 * i % 256 for i in range(256)))' > ramp.pgm
+eqreg dump-features --ckpt c4_t1/ckpt_final.eqnet --image ramp.pgm --out feat_c4
 
-for f in dn/* ip/* c4_t1/* c4_t2/* c8_oc/* c4_sum/* c4_plain/* equiv_c4.csv equiv_c8.csv eval_c4.txt; do
+for f in dn/* ip/* c4_t1/* c4_t2/* c8_oc/* c4_sum/* c4_plain/* equiv_c4.csv equiv_c8.csv eval_c4.txt ramp.pgm feat_c4/*; do
     case $f in
         */config.json) ;;
         *) sha256sum "$f" ;;
