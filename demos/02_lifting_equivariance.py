@@ -9,8 +9,7 @@ the reference point the regularizer pushes ordinary layers toward.
 
 import numpy as np
 
-from eqreg import (EqRegConfig, LiftingConvOracle, RotationGroup,
-                   forward_with_tape, layer_loss)
+from eqreg import LiftingConvOracle, RotationGroup, forward_with_tape, layer_loss
 
 group = RotationGroup(4)
 rng = np.random.default_rng(7)
@@ -21,10 +20,9 @@ x = rng.standard_normal((1, 1, 12, 12))
 _, tape = forward_with_tape(oracle, x)
 print(f"lifted features: {tape.hidden[0].shape} (2 base kernels x 4 rotations)")
 
-cfg = EqRegConfig(reduction="sum")
 for k in range(4):
     _, tape_rot = forward_with_tape(oracle, group.rotate_image(x, k))
-    loss = layer_loss(tape.hidden[0], tape_rot.hidden[0], k, group, cfg)
+    loss = layer_loss(tape.hidden[0], tape_rot.hidden[0], k, group)
     print(f"  k={k}: layer loss {loss:.3e}")
 
 print("\nfor comparison, a random (unlifted) weight matrix on the same input:")
@@ -33,4 +31,4 @@ from eqreg import build_network, init_weights
 net = init_weights(build_network(1, 1, group, n_hidden=2, depth=2), seed=1)
 _, tp = forward_with_tape(net, x.astype(np.float32))
 _, tr = forward_with_tape(net, group.rotate_image(x, 1).astype(np.float32))
-print(f"  k=1: layer loss {layer_loss(tp.hidden[0], tr.hidden[0], 1, group, cfg):.3e}")
+print(f"  k=1: layer loss {layer_loss(tp.hidden[0], tr.hidden[0], 1, group):.3e}")

@@ -49,7 +49,6 @@ def build_parser():
     t.add_argument("--depth", type=int, default=3, help="number of conv layers")
     t.add_argument("--kernel", type=int, default=3)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--reduction", choices=("mean", "sum"), default="mean")
     t.add_argument("--output-consistency", action="store_true", help="add the rotate-the-output penalty")
     t.add_argument("--oc-weight", type=float, default=1.0)
     t.add_argument("--no-residual", action="store_true")
@@ -136,7 +135,6 @@ def _cmd_train(args):
         out_dir=args.out,
         eqreg=EqRegConfig(
             lam=args.lam,
-            reduction=args.reduction,
             output_consistency=args.output_consistency,
             output_consistency_weight=args.oc_weight,
         ),

@@ -6,6 +6,7 @@ Every random stream is keyed by an integer list fed to default_rng, so a
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -110,8 +111,8 @@ def degrade(clean, seed, sigma, mask_rate=None):
     probability mask_rate (mask value 0). The mask draw precedes the noise
     draw, which fixes the stream layout.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if mask_rate is not None and not 0 <= mask_rate <= 1:
         raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
     rng = np.random.default_rng([seed, 1])
@@ -303,5 +304,7 @@ def read_shard(indir):
             raise ShardError(f"{role} records do not stack to the sidecar's {shape}: {exc}") from exc
         if arr.shape != shape:
             raise ShardError(f"{role} stack shape {arr.shape} does not match sidecar {shape}")
+        if not np.isfinite(arr).all():
+            raise ShardError(f"{role} records hold a non-finite value")
         out[role] = arr
     return Dataset(out["degraded"], out["clean"], out.get("mask"), meta)

@@ -1,14 +1,15 @@
 """Equivariance regularization: per-layer and network-wide losses with exact gradients.
 
 For a group element k, each regularization point contributes
-||FT_k(h_plain) - h_rot||_F^2 where h_plain comes from the clean-orientation
-branch, h_rot from the branch fed the k-rotated input, and FT_k is the
-feature transform. Gradients flow through both branches: the rotated side
+||FT_k(h_plain) - h_rot||_F^2 over its element count, where h_plain comes
+from the clean-orientation branch, h_rot from the branch fed the k-rotated
+input, and FT_k is the feature transform. Gradients flow through both branches: the rotated side
 sees -2 D, the plain side the feature-transform adjoint of 2 D. mismatch
 computes that block for any action, so the output-consistency term (spatial
 rotation only) shares it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,28 +21,21 @@ from .tensor import frobenius_sq
 class EqRegConfig:
     """Knobs of the regularizer.
 
-    lam scales the equivariance term in the total objective. reduction "mean"
-    divides each layer's squared norm by its element count; "sum" does not.
-    output_consistency adds a rotate-the-output penalty.
+    Every penalty term is a per-element mean: its squared norm divided by its
+    element count. lam scales the equivariance term in the total objective
+    and is its only scale. output_consistency adds a rotate-the-output
+    penalty, scaled by output_consistency_weight.
     """
 
     lam: float = 0.1
-    reduction: str = "mean"
     output_consistency: bool = False
     output_consistency_weight: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.reduction not in ("mean", "sum"):
-            raise ValueError(f"reduction must be 'mean' or 'sum', got {self.reduction!r}")
-        if self.output_consistency_weight < 0:
-            raise ValueError(f"output_consistency_weight must be >= 0, got {self.output_consistency_weight}")
-
-
-def reduce_sq(sq, numel, cfg):
-    """A squared sum over numel elements as a loss term under cfg.reduction."""
-    return sq / numel if cfg.reduction == "mean" else sq
+        for name in ("lam", "output_consistency_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def sample_k(group, rng):
@@ -49,8 +43,8 @@ def sample_k(group, rng):
     return int(rng.integers(1, group.order))
 
 
-def layer_loss(f_plain, f_rotated, k, group, cfg):
-    """Squared Frobenius mismatch at one regularization point.
+def layer_loss(f_plain, f_rotated, k, group):
+    """Mean squared mismatch at one regularization point.
 
     Exactly-rounded summation, so the value is invariant under permutations
     of the elements (in particular under relabeling by another group element).
@@ -58,25 +52,25 @@ def layer_loss(f_plain, f_rotated, k, group, cfg):
     if f_plain.shape != f_rotated.shape:
         raise ValueError(f"branch shapes differ: {f_plain.shape} vs {f_rotated.shape}")
     diff = group.feature_transform(f_plain, k) - f_rotated
-    return reduce_sq(frobenius_sq(diff), diff.size, cfg)
+    return frobenius_sq(diff) / diff.size
 
 
-def equi_loss(tape_plain, tape_rotated, k, group, cfg):
+def equi_loss(tape_plain, tape_rotated, k, group):
     """Sum of layer losses over all regularization points of the two tapes."""
     if len(tape_plain) != len(tape_rotated):
         raise ValueError(f"tapes record {len(tape_plain)} vs {len(tape_rotated)} points")
     return sum(
-        layer_loss(hp, hr, k, group, cfg)
+        layer_loss(hp, hr, k, group)
         for hp, hr in zip(tape_plain.hidden, tape_rotated.hidden)
     )
 
 
-def output_consistency_loss(y_plain, y_rotated, k, group, cfg):
-    """Rotate-the-output penalty ||rot_k(y_plain) - y_rot||_F^2 (spatial only)."""
+def output_consistency_loss(y_plain, y_rotated, k, group):
+    """Rotate-the-output penalty ||rot_k(y_plain) - y_rot||_F^2 per element (spatial only)."""
     if y_plain.shape != y_rotated.shape:
         raise ValueError(f"output shapes differ: {y_plain.shape} vs {y_rotated.shape}")
     diff = group.rotate_image(y_plain, k) - y_rotated
-    return reduce_sq(frobenius_sq(diff), diff.size, cfg)
+    return frobenius_sq(diff) / diff.size
 
 
 def total_loss(task, equi, cfg, output_consistency=0.0):
@@ -87,33 +81,33 @@ def total_loss(task, equi, cfg, output_consistency=0.0):
     return total
 
 
-def mismatch(plain, rotated, k, act, act_adjoint, numel, cfg, weight=1.0):
+def mismatch(plain, rotated, k, act, act_adjoint, numel, weight=1.0):
     """One comparison D = act(plain, k) - rotated with its gradients.
 
     act is a group action with act_adjoint its adjoint: rotate_image for the
     output, feature_transform for a hidden feature. The term is weight times
-    reduce_sq(||D||^2, numel), with numel the element count of the whole
-    batch, so results of batch chunks add up. Returns the float64-accumulated
-    squared sum (fast, not exactly rounded) and the gradients s act*(D) for
-    the plain side and -s D for the rotated side, s = weight * reduce_sq(2).
+    ||D||^2 / numel, with numel the element count of the whole batch, so
+    results of batch chunks add up. Returns the float64-accumulated squared
+    sum (fast, not exactly rounded) and the gradients s act*(D) for the plain
+    side and -s D for the rotated side, s = weight * 2 / numel.
     """
     d = act(plain, k) - rotated
     sq = float(np.sum(np.square(d, dtype=np.float64)))
-    s = weight * reduce_sq(2.0, numel, cfg)
+    s = weight * (2.0 / numel)
     return sq, act_adjoint(s * d, k), -s * d
 
 
-def equi_injections(tape_plain, tape_rotated, k, group, cfg, numels):
+def equi_injections(tape_plain, tape_rotated, k, group, numels):
     """Per-layer gradient injections plus fast squared sums for the equi term.
 
-    numels[i] is the element count that layer i's term is reduced over (see
+    numels[i] is the element count that layer i's term is averaged over (see
     mismatch). Returns (inject_plain, inject_rotated, sq_sums).
     """
     if len(tape_plain) != len(tape_rotated):
         raise ValueError(f"tapes record {len(tape_plain)} vs {len(tape_rotated)} points")
     inject_plain, inject_rot, sq_sums = [], [], []
     for hp, hr, n in zip(tape_plain.hidden, tape_rotated.hidden, numels, strict=True):
-        sq, gp, gr = mismatch(hp, hr, k, group.feature_transform, group.feature_transform_adjoint, n, cfg)
+        sq, gp, gr = mismatch(hp, hr, k, group.feature_transform, group.feature_transform_adjoint, n)
         sq_sums.append(sq)
         inject_plain.append(gp)
         inject_rot.append(gr)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import TASKS
-from .losses import EqRegConfig, equi_injections, mismatch, reduce_sq, sample_k, total_loss
+from .losses import EqRegConfig, equi_injections, mismatch, sample_k, total_loss
 from .model import add_grads, forward_with_tape, backprop, save_checkpoint
 from .tensor import ConvParams
 
@@ -55,8 +55,8 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.eval_period < 1:
@@ -167,13 +167,13 @@ def _objective_chunk(net, x, clean, k, reg, denoms_equi, denom_out):
     g_out_p = (2.0 / denom_out) * diff
 
     out_r, tape_r = forward_with_tape(net, group.rotate_image(x, k))
-    inj_p, inj_r, equi_sqs = equi_injections(tape_p, tape_r, k, group, reg, denoms_equi)
+    inj_p, inj_r, equi_sqs = equi_injections(tape_p, tape_r, k, group, denoms_equi)
 
     oc_sq = 0.0
     g_out_r = None
     if reg.output_consistency:
         oc_sq, g_oc, g_out_r = mismatch(out_p, out_r, k, group.rotate_image, group.rotate_image_adjoint,
-                                        denom_out, reg, reg.output_consistency_weight)
+                                        denom_out, reg.output_consistency_weight)
         g_out_p = g_out_p + g_oc
 
     hidden_p = hidden_r = None
@@ -211,8 +211,8 @@ def objective(net, batch, k, reg, executor=None):
 
     task = sum(p[0] for p in parts) / denom_out
     equi_sqs = [sum(p[1][i] for p in parts) for i in range(net.n_hidden_layers)]
-    equi = sum(reduce_sq(s, d, reg) for s, d in zip(equi_sqs, denoms_equi))
-    oc = reduce_sq(sum(p[2] for p in parts), denom_out, reg)
+    equi = sum(s / d for s, d in zip(equi_sqs, denoms_equi))
+    oc = sum(p[2] for p in parts) / denom_out
     losses = {"task": task, "equi": equi, "total": total_loss(task, equi, reg, oc)}
     if reg.output_consistency:
         losses["output_consistency"] = oc
@@ -261,7 +261,6 @@ class EquivReport:
     psnr: float
     output_errors: dict
     feature_errors: dict
-    step: int = 0
 
     @property
     def e_out_mean(self):
@@ -348,17 +347,22 @@ def csv_line(values):
 def train(net, train_data, cfg, eval_data=None):
     """Run cfg.steps of train_step with periodic evaluation and checkpoints.
 
-    Writes report.csv, config.json and checkpoints under cfg.out_dir when set.
-    Returns (net, rows, final EquivReport); rows carry one dict per eval point.
+    Writes report.csv, config.json and checkpoints under cfg.out_dir when set;
+    an empty shard, or one whose input channels the network does not take,
+    is refused first. Returns (net, rows, final EquivReport); rows carry one
+    dict per eval point.
     """
-    if len(train_data) == 0:
-        raise ValueError("cannot train on an empty dataset")
+    measured = eval_data if eval_data is not None else train_data
+    for role, ds in (("training", train_data), ("eval", measured)):
+        if len(ds) == 0:
+            raise ValueError(f"{role} shard is empty")
+        if ds.inputs().shape[1] != net.in_channels:
+            raise ValueError(f"{role} shard has {ds.inputs().shape[1]} input channels, the network takes {net.in_channels}")
     out_dir = cfg.out_dir
     state = init_state(net, cfg)
     inputs = train_data.inputs()
     clean = train_data.clean
     n = inputs.shape[0]
-    measured = eval_data if eval_data is not None else train_data
 
     group = net.group
     columns = CSV_BASE_COLUMNS + [f"e_out_k{k}" for k in range(1, group.order)]
@@ -380,7 +384,6 @@ def train(net, train_data, cfg, eval_data=None):
             step = state.adam.t
             if step % cfg.eval_period == 0 or step == cfg.steps:
                 report = measure_equivariance(state.net, measured, executor=state.executor)
-                report.step = step
                 values = [step, losses["task"], losses["equi"], losses["total"],
                           report.psnr, report.e_out_mean, report.e_feat_mean, *report.output_errors.values()]
                 rows.append(dict(zip(columns, values)))

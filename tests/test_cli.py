@@ -91,6 +91,12 @@ class TestGenData:
         )
         assert code == 1
 
+    def test_non_finite_sigma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli("gen-data", "--out", str(out), "--count", "2", "--sigma", "nan") == 1
+        assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained):
@@ -150,6 +156,34 @@ class TestTrain:
         res = run_subprocess("train", "--data", str(shard), "--out", str(tmp_path / "o"), "--steps", "1", "--n-hidden", "0")
         assert res.returncode == 1, res.stderr
         assert "n_hidden" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ("--lambda", "nan"),
+        ("--oc-weight", "nan", "--output-consistency"),
+        ("--lr", "nan"),
+    ], ids=["lambda", "oc-weight", "lr"])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, shard, capsys, flags):
+        out = tmp_path / "o"
+        code = run_cli("train", "--data", str(shard), "--out", str(out), "--steps", "2", "--batch", "4", *flags)
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, count, message", [
+        ("inpaint", "4", "eval shard has 2 input channels"),
+        ("denoise", "0", "eval shard is empty"),
+    ], ids=["channels", "empty"])
+    def test_unusable_eval_shard_refused_before_training(self, tmp_path, shard, capsys, task, count, message):
+        ev = tmp_path / "ev"
+        assert run_cli("gen-data", "--out", str(ev), "--count", count, "--task", task) == 0
+        out = tmp_path / "o"
+        code = run_cli(
+            "train", "--data", str(shard), "--eval-data", str(ev), "--out", str(out),
+            "--steps", "6", "--batch", "4", "--eval-period", "5",
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, shard):
         outs = []

@@ -141,6 +141,9 @@ class TestDegrade:
             degrade(clean, 0, sigma=-0.1)
         with pytest.raises(ValueError):
             degrade(clean, 0, sigma=0.0, mask_rate=1.5)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                degrade(clean, 0, sigma=sigma)
 
 
 class TestNetpbm:
@@ -334,6 +337,14 @@ class TestDatasets:
         meta["size"] = size
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ShardError, match="stack"):
+            read_shard(tmp_path)
+
+    @pytest.mark.parametrize("role, value", [("degraded", math.nan), ("clean", math.inf), ("mask", -math.inf)])
+    def test_non_finite_record_rejected(self, tmp_path, role, value):
+        ds = make_dataset("inpaint", 3, seed=17)
+        getattr(ds, role)[1, 0, 2, 5] = value
+        write_shard(tmp_path, ds)
+        with pytest.raises(ShardError, match="non-finite"):
             read_shard(tmp_path)
 
     def test_truncated_tensor_stream_rejected(self, tmp_path):

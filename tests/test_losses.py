@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,16 +35,19 @@ def fd_param(loss_fn, net, layer_idx, kind, idx, h=1e-5):
 class TestConfig:
     def test_defaults(self):
         cfg = EqRegConfig()
-        assert cfg.lam == 0.1 and cfg.reduction == "mean"
+        assert cfg.lam == 0.1 and cfg.output_consistency_weight == 1.0
         assert not cfg.output_consistency
+        assert len(dataclasses.fields(EqRegConfig)) == 3
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             EqRegConfig(lam=-0.5)
         with pytest.raises(ValueError):
-            EqRegConfig(reduction="max")
-        with pytest.raises(ValueError):
             EqRegConfig(output_consistency_weight=-1.0)
+        for name in ("lam", "output_consistency_weight"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    EqRegConfig(**{name: value})
 
 
 class TestSampleK:
@@ -60,26 +64,26 @@ class TestSampleK:
 class TestLayerLoss:
     def test_matching_pair_is_zero(self):
         h = np.random.default_rng(2).standard_normal((2, 8, 6, 6))
-        assert layer_loss(h, G4.feature_transform(h, 1), 1, G4, EqRegConfig()) == 0.0
+        assert layer_loss(h, G4.feature_transform(h, 1), 1, G4) == 0.0
 
     def test_k_zero_identical_features(self):
         h = np.random.default_rng(3).standard_normal((1, 4, 5, 5))
-        assert layer_loss(h, h, 0, G4, EqRegConfig()) == 0.0
+        assert layer_loss(h, h, 0, G4) == 0.0
 
-    def test_sum_reduction_matches_pair_oracle(self):
+    def test_matches_pair_oracle_over_numel(self):
         rng = np.random.default_rng(4)
         hp = rng.standard_normal((2, 8, 4, 4))
         hr = rng.standard_normal((2, 8, 4, 4))
-        want = frob_sq_pairs(G4.feature_transform(hp, 3), hr)
-        got = layer_loss(hp, hr, 3, G4, EqRegConfig(reduction="sum"))
+        want = frob_sq_pairs(G4.feature_transform(hp, 3), hr) / hp.size
+        got = layer_loss(hp, hr, 3, G4)
         assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_mean_is_sum_over_numel(self):
         rng = np.random.default_rng(5)
         hp = rng.standard_normal((3, 4, 5, 5))
         hr = rng.standard_normal((3, 4, 5, 5))
-        s = layer_loss(hp, hr, 2, G4, EqRegConfig(reduction="sum"))
-        m = layer_loss(hp, hr, 2, G4, EqRegConfig(reduction="mean"))
+        s = frob_sq_pairs(G4.feature_transform(hp, 2), hr)
+        m = layer_loss(hp, hr, 2, G4)
         assert math.isclose(m, s / hp.size, rel_tol=1e-15)
 
     def test_nonnegative(self):
@@ -87,7 +91,7 @@ class TestLayerLoss:
         for _ in range(20):
             hp = rng.standard_normal((1, 4, 3, 3))
             hr = rng.standard_normal((1, 4, 3, 3))
-            assert layer_loss(hp, hr, 1, G4, EqRegConfig()) >= 0.0
+            assert layer_loss(hp, hr, 1, G4) >= 0.0
 
     def test_invariant_under_joint_transform(self):
         # applying the same extra transform to both sides preserves the
@@ -95,15 +99,14 @@ class TestLayerLoss:
         rng = np.random.default_rng(7)
         hp = rng.standard_normal((1, 8, 4, 4))
         hr = rng.standard_normal((1, 8, 4, 4))
-        cfg = EqRegConfig()
-        base = layer_loss(hp, hr, 1, G4, cfg)
+        base = layer_loss(hp, hr, 1, G4)
         # FT_1(FT_1 hp) = FT_2 hp and FT_1 hr shifts the reference the same way
-        moved = layer_loss(G4.feature_transform(hp, 1), G4.feature_transform(hr, 1), 1, G4, cfg)
+        moved = layer_loss(G4.feature_transform(hp, 1), G4.feature_transform(hr, 1), 1, G4)
         assert math.isclose(base, moved, rel_tol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            layer_loss(np.zeros((1, 4, 4, 4)), np.zeros((1, 4, 5, 5)), 1, G4, EqRegConfig())
+            layer_loss(np.zeros((1, 4, 4, 4)), np.zeros((1, 4, 5, 5)), 1, G4)
 
 
 class TestEquiLoss:
@@ -116,27 +119,25 @@ class TestEquiLoss:
 
     def test_sums_layer_terms(self):
         _, tp, tr = self.net_and_tapes(10, 1)
-        cfg = EqRegConfig()
-        want = sum(layer_loss(a, b, 1, G4, cfg) for a, b in zip(tp.hidden, tr.hidden))
-        assert math.isclose(equi_loss(tp, tr, 1, G4, cfg), want, rel_tol=1e-15)
+        want = sum(layer_loss(a, b, 1, G4) for a, b in zip(tp.hidden, tr.hidden))
+        assert math.isclose(equi_loss(tp, tr, 1, G4), want, rel_tol=1e-15)
 
     def test_zero_for_identical_tapes_at_k0(self):
         _, tp, _ = self.net_and_tapes(11, 0)
-        assert equi_loss(tp, tp, 0, G4, EqRegConfig()) == 0.0
+        assert equi_loss(tp, tp, 0, G4) == 0.0
 
     def test_tape_length_mismatch_rejected(self):
         net, tp, tr = self.net_and_tapes(12, 1)
         tr.hidden.pop()
         with pytest.raises(ValueError, match="tapes"):
-            equi_loss(tp, tr, 1, G4, EqRegConfig())
+            equi_loss(tp, tr, 1, G4)
 
     def test_single_hidden_layer_reduces_to_layer_loss(self):
         net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=2, dtype=np.float64), 40)
         x = np.random.default_rng(41).standard_normal((1, 1, 6, 6))
         _, tp = forward_with_tape(net, x)
         _, tr = forward_with_tape(net, G4.rotate_image(x, 2))
-        cfg = EqRegConfig()
-        assert equi_loss(tp, tr, 2, G4, cfg) == layer_loss(tp.hidden[0], tr.hidden[0], 2, G4, cfg)
+        assert equi_loss(tp, tr, 2, G4) == layer_loss(tp.hidden[0], tr.hidden[0], 2, G4)
 
     def test_matches_fully_independent_recompute(self):
         # transform and norm both recomputed with the loop-based references,
@@ -144,25 +145,24 @@ class TestEquiLoss:
         from naive_ref import feature_transform_indexed
 
         _, tp, tr = self.net_and_tapes(42, 3)
-        cfg = EqRegConfig(reduction="sum")
         want = sum(
-            frob_sq_pairs(feature_transform_indexed(a, 3, 4), b)
+            frob_sq_pairs(feature_transform_indexed(a, 3, 4), b) / a.size
             for a, b in zip(tp.hidden, tr.hidden)
         )
-        got = equi_loss(tp, tr, 3, G4, cfg)
+        got = equi_loss(tp, tr, 3, G4)
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
 class TestOutputConsistency:
     def test_zero_when_output_rotates_exactly(self):
         y = np.random.default_rng(13).standard_normal((2, 1, 6, 6))
-        assert output_consistency_loss(y, G4.rotate_image(y, 1), 1, G4, EqRegConfig()) == 0.0
+        assert output_consistency_loss(y, G4.rotate_image(y, 1), 1, G4) == 0.0
 
     def test_constant_images_closed_form(self):
-        # rotation leaves constants alone, so mean reduction gives (c1-c2)^2
+        # rotation leaves constants alone, so the per-element mean is (c1-c2)^2
         y1 = np.full((1, 1, 4, 4), 0.7)
         y2 = np.full((1, 1, 4, 4), 0.2)
-        got = output_consistency_loss(y1, y2, 1, G4, EqRegConfig())
+        got = output_consistency_loss(y1, y2, 1, G4)
         assert math.isclose(got, 0.25, rel_tol=1e-12)
 
     def test_spatial_only_no_channel_shift(self):
@@ -170,7 +170,7 @@ class TestOutputConsistency:
         # channels, so a pure channel shift must register as mismatch
         y = np.random.default_rng(14).standard_normal((1, 4, 4, 4))
         shifted = np.roll(y, 1, axis=1)
-        assert output_consistency_loss(y, shifted, 0, G4, EqRegConfig()) > 0.0
+        assert output_consistency_loss(y, shifted, 0, G4) > 0.0
 
 
 class TestTotalLoss:
@@ -194,18 +194,20 @@ def equi_grads(net, x, k, cfg):
 
 
 class TestEquiGradient:
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    def test_finite_difference_on_weights(self, reduction):
+    # "sum" sets lam to each hidden layer's element count (8 channels x 36
+    # pixels), so lam * equi is the layers' squared sum
+    @pytest.mark.parametrize("lam", [1.0, 288.0], ids=["mean", "sum"])
+    def test_finite_difference_on_weights(self, lam):
         # gradient of the regularizer alone, through both branches
         net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64), 30)
         x = np.random.default_rng(31).standard_normal((1, 1, 6, 6))
-        cfg = EqRegConfig(lam=1.0, reduction=reduction)
+        cfg = EqRegConfig(lam=lam)
         k = 1
 
         def exact(n):
             _, tp = forward_with_tape(n, x)
             _, tr = forward_with_tape(n, G4.rotate_image(x, k))
-            return equi_loss(tp, tr, k, G4, cfg)
+            return lam * equi_loss(tp, tr, k, G4)
 
         grads = equi_grads(net, x, k, cfg)
 

@@ -272,10 +272,13 @@ class TestTrainStep:
 
 
 class TestFullObjectiveGradient:
+    # the "sum" cases scale lam and the oc weight by their terms' element
+    # counts (2 images x 8 or 16 channels x 64 pixels, and 2 x 1 x 64), so
+    # each term weighs its squared sum, not its mean
     @pytest.mark.parametrize("order, reg", [
         (4, EqRegConfig(lam=0.1)),
-        (4, EqRegConfig(lam=0.1, reduction="sum")),
-        (8, EqRegConfig(lam=0.1, reduction="sum", output_consistency=True, output_consistency_weight=0.5)),
+        (4, EqRegConfig(lam=0.1 * 1024)),
+        (8, EqRegConfig(lam=0.1 * 2048, output_consistency=True, output_consistency_weight=0.5 * 128)),
     ], ids=["c4-mean", "c4-sum", "c8-oc-sum"])
     def test_finite_difference(self, order, reg):
         # the grads objective returns, which train_step hands to adam_update,
@@ -291,8 +294,8 @@ class TestFullObjectiveGradient:
             out, tp = forward_with_tape(n, x)
             out_r, tr = forward_with_tape(n, group.rotate_image(x, k))
             task = float(np.mean(np.square(out - clean)))
-            oc = output_consistency_loss(out, out_r, k, group, reg)
-            return total_loss(task, equi_loss(tp, tr, k, group, reg), reg, oc)
+            oc = output_consistency_loss(out, out_r, k, group)
+            return total_loss(task, equi_loss(tp, tr, k, group), reg, oc)
 
         _, grads = objective(net, (x, clean), k, reg)
 
@@ -462,6 +465,11 @@ class TestStreamedMeter:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(steps=1, lr=lr)
+
     def test_artifacts_and_report(self, tmp_path):
         net = tiny_net(seed=35)
         train_ds = make_dataset("denoise", 16, seed=36)
@@ -473,7 +481,7 @@ class TestTrainLoop:
         assert (tmp_path / "ckpt_000003.eqnet").exists()
         assert (tmp_path / "ckpt_final.eqnet").exists()
         assert [r["step"] for r in rows] == [3, 6]
-        assert rep.step == 6
+        assert rows[-1]["step"] == 6
         conf = json.loads((tmp_path / "config.json").read_text())
         assert conf["steps"] == 6 and conf["eqreg"]["lam"] == 0.1
         assert conf["out_dir"] == str(tmp_path)
