@@ -1,7 +1,7 @@
 """Command line frontend: gen-data, train, eval, measure-equiv, dump-features.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or format error, 3 non-finite loss
-or weight update.
+Exit codes: 0 success, 1 usage error or an allocation that failed, 2 I/O or
+format error, 3 non-finite loss or weight update.
 
 BLAS thread caps must be in the environment before numpy loads, so the heavy
 imports live inside the handlers and main() touches os.environ first.
@@ -233,6 +233,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print(f"eqreg: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"eqreg: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (OSError, EqtFormatError, NetpbmError, ShardError) as exc:
         print(f"eqreg: {exc}", file=sys.stderr)

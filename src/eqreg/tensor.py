@@ -11,14 +11,53 @@ in place. Only the (C_out, B*H*W) GEMM output is transposed back to NCHW.
 When the output is narrower than the input, building the columns would cost
 more than the GEMM, so the kernel picked by shape instead sums p*p GEMMs over
 shifted slices of the zero-padded input laid flat per channel.
+
+Workspaces: the im2col columns, the padded flat input, the columns' GEMM
+output and the weight gradient's transposed grad_out live in per-thread
+buffers, zeroed once and keyed by (role, shape, dtype), so a training step
+stops allocating them. A workspace never leaves this module: every array a
+kernel returns is freshly allocated, because tapes and outputs outlive the
+next call. Each thread keeps at most _KEEP_BYTES, enough for a batch-8 step
+of the default network; shapes that do not fit are allocated per call.
+
+Heap: on glibc, importing this module raises malloc's mmap threshold to 16
+MiB and its trim threshold to 32 MiB for the whole process, so the step's
+remaining large temporaries (group-op copies, gradient sums) are reused from
+the heap instead of being returned to the kernel and faulted in again on
+every call. Other C libraries are left alone.
 """
 
+import ctypes
 import io
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+_KEEP_BYTES = 14 << 20  # per thread; a batch-8 step of the default 32x32 network keeps 13.2-13.8 MB
+_local = threading.local()
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+
+
+def _keep_freed_blocks():
+    """Have glibc keep freed blocks below 16 MiB in the heap; a no-op on any other libc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
+_keep_freed_blocks()
+
 
 class EqtFormatError(Exception):
     """Malformed or truncated EQT1 stream."""
@@ -65,39 +104,67 @@ class ConvParams:
         return self.weight.shape[2]
 
 
+def _kept():
+    """This thread's kept workspaces, by (role, shape, dtype)."""
+    return _local.__dict__.setdefault("kept", {})
+
+
+def _workspace(role, shape, dtype):
+    """This thread's zero-initialised buffer for (role, shape, dtype).
+
+    A role's writes land on the same positions for every call with the same
+    key, so the cells it never writes (padding borders) stay zero. Buffers
+    are kept, first come first kept, while the thread's total fits
+    _KEEP_BYTES; a key that does not fit gets a fresh buffer on every call.
+    """
+    kept = _kept()
+    key = (role, shape, np.dtype(dtype))
+    buf = kept.get(key)
+    if buf is None:
+        buf = np.zeros(shape, dtype)
+        if sum(a.nbytes for a in kept.values()) + buf.nbytes <= _KEEP_BYTES:
+            kept[key] = buf
+    return buf
+
+
 def _im2col(x, p):
-    """Zero-pad to same size and unfold p x p patches, K-major.
+    """Unfold p x p patches of the zero-padded input, K-major, into a workspace.
 
     Returns (C*p*p, B*H*W): row (c, u, v) is channel c of the padded input
-    shifted by (u, v); columns are ordered by (b, i, j). It is filled by p*p
-    strided slice copies whose contiguous runs are whole image rows.
+    shifted by (u, v); columns are ordered by (b, i, j). Each shift copies
+    the part of x it reads straight into place, in runs of image rows; the
+    cells that fall on the padding are never written and stay zero.
     """
     b, c, h, w = x.shape
     r = (p - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (r, r), (r, r))).transpose(1, 0, 2, 3)
-    cols = np.empty((c, p, p, b, h, w), dtype=x.dtype)
+    cols = _workspace("cols", (c, p, p, b, h, w), x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
     for u in range(p):
+        i0 = max(0, r - u)
+        i1 = max(i0, min(h, h + r - u))
         for v in range(p):
-            cols[:, u, v] = xp[:, :, u : u + h, v : v + w]
+            j0 = max(0, r - v)
+            j1 = max(j0, min(w, w + r - v))
+            cols[:, u, v, :, i0:i1, j0:j1] = xt[:, :, i0 + u - r : i1 + u - r, j0 + v - r : j1 + v - r]
     return cols.reshape(c * p * p, b * h * w)
 
 
 def _pad_flat(x, p):
-    """Zero-pad to same size and lay the images end to end, per channel.
+    """Zero-pad to same size and lay the images end to end, per channel, in a workspace.
 
-    Returns (flat, n, offsets): flat is (C, n + tail) with n = B*(H+2r)*(W+2r).
-    For kernel tap (u, v) at offsets[u*p + v], flat[:, off : off + n] is the
-    padded input shifted by that tap, read at every padded position; the
-    positions with i < H and j < W are the 'same' convolution's outputs, and
-    the zero tail keeps the last image's slices in bounds.
+    Returns (flat, n, offsets): flat is (C, n + H'*W') with n = B*H'*W' and
+    H' = H+2r, W' = W+2r. For kernel tap (u, v) at offsets[u*p + v],
+    flat[:, off : off + n] is the padded input shifted by that tap, read at
+    every padded position; the positions with i < H and j < W are the 'same'
+    convolution's outputs, and the zero image at the end keeps the last
+    image's slices in bounds.
     """
     b, c, h, w = x.shape
     r = (p - 1) // 2
     hp, wp = h + 2 * r, w + 2 * r
-    n = b * hp * wp
-    flat = np.zeros((c, n + 2 * r * wp + 2 * r), dtype=x.dtype)
-    flat[:, :n].reshape(c, b, hp, wp)[:, :, r : r + h, r : r + w] = x.transpose(1, 0, 2, 3)
-    return flat, n, [u * wp + v for u in range(p) for v in range(p)]
+    padded = _workspace(("pad", p), (c, b + 1, hp, wp), x.dtype)
+    padded[:, :b, r : r + h, r : r + w] = x.transpose(1, 0, 2, 3)
+    return padded.reshape(c, -1), b * hp * wp, [u * wp + v for u in range(p) for v in range(p)]
 
 
 def _correlate(x, w):
@@ -105,12 +172,14 @@ def _correlate(x, w):
 
     A narrow output (O < C, such as a network's last layer) sums p*p GEMMs on
     shifted slices of the padded input, which reads far less than building
-    the C*p*p columns; otherwise one GEMM runs on the K-major columns.
+    the C*p*p columns; otherwise one GEMM runs on the K-major columns and
+    writes a workspace.
     """
     b, c, h, wd = x.shape
     o, _, p, _ = w.shape
     if o >= c:
-        return (w.reshape(o, -1) @ _im2col(x, p)).reshape(o, b, h, wd)
+        out = _workspace("gemm", (o, b * h * wd), np.result_type(x, w))
+        return np.matmul(w.reshape(o, -1), _im2col(x, p), out=out).reshape(o, b, h, wd)
     flat, n, offsets = _pad_flat(x, p)
     taps = w.reshape(o, c, p * p)
     out = sum(taps[:, :, k] @ flat[:, off : off + n] for k, off in enumerate(offsets))
@@ -120,16 +189,18 @@ def _correlate(x, w):
 def _weight_grad(x, g, p):
     """grad_w[o,c,u,v] = sum over (b, i, j) of g[b,o,i,j] * x[b,c,i+u-r,j+v-r].
 
-    The kernel follows the forward's choice by shape.
+    The kernel follows the forward's choice by shape; grad_out is transposed
+    to channel-major in a workspace.
     """
     b, c, h, wd = x.shape
     o = g.shape[1]
-    g_t = g.transpose(1, 0, 2, 3)
     if o >= c:
+        g_t = _workspace("grad_out", (o, b, h, wd), g.dtype)
+        g_t[...] = g.transpose(1, 0, 2, 3)
         return (g_t.reshape(o, -1) @ _im2col(x, p).T).reshape(o, c, p, p)
     flat, n, offsets = _pad_flat(x, p)
-    g_flat = np.zeros((o, b, h + p - 1, wd + p - 1), dtype=g.dtype)
-    g_flat[:, :, :h, :wd] = g_t
+    g_flat = _workspace(("grad_out", p), (o, b, h + p - 1, wd + p - 1), g.dtype)
+    g_flat[:, :, :h, :wd] = g.transpose(1, 0, 2, 3)
     g_flat = g_flat.reshape(o, n)
     taps = [g_flat @ flat[:, off : off + n].T for off in offsets]
     return np.stack(taps, axis=-1).reshape(o, c, p, p)
@@ -141,8 +212,9 @@ def conv2d_forward(x, params):
     c = x.shape[1]
     if c != params.in_channels:
         raise ValueError(f"input has {c} channels, weights expect {params.in_channels}")
-    out = _correlate(x, params.weight) + params.bias[:, None, None, None]
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    corr = _correlate(x, params.weight).transpose(1, 0, 2, 3)
+    out = np.empty(corr.shape, np.result_type(corr, params.bias))
+    return np.add(corr, params.bias[:, None, None], out=out)
 
 
 def conv2d_backward(x, params, grad_out, need_grad_x=True):

@@ -215,6 +215,14 @@ class TestTrain:
         assert res.returncode == 3
         assert "non-finite" in res.stderr
 
+    def test_out_of_memory_is_one_line_error(self, tmp_path, shard):
+        # the batch's 8 PB index array exceeds any address space, whatever the overcommit policy
+        res = run_subprocess("train", "--data", str(shard), "--out", str(tmp_path / "oom"), "--steps", "1",
+                             "--batch", str(10**15))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("eqreg: error: Unable to allocate") and res.stderr.count("\n") == 1
+
     def test_non_finite_update_writes_no_checkpoint(self, tmp_path, shard):
         out = tmp_path / "huge_lr"
         res = run_subprocess("train", "--data", str(shard), "--out", str(out), "--steps", "1", "--lr", "1e39")

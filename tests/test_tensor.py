@@ -1,9 +1,13 @@
 import io
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from eqreg import tensor
 from eqreg.tensor import (
     ConvParams,
     EqtFormatError,
@@ -54,6 +58,7 @@ class TestConvForward:
             ((3, 2, 3, 3), 1, 1),
             ((3, 4, 5, 7), 6, 3),
             ((2, 5, 4, 6), 2, 5),  # fewer outputs than inputs: shifted-slice kernel
+            ((2, 2, 2, 3), 3, 7),  # kernel wider than the image: some taps read only padding
         ],
     )
     def test_matches_loop_reference(self, shape, cout, p):
@@ -180,6 +185,106 @@ class TestConvBackward:
         params = rand_params(rng, 3, 2, 3)
         with pytest.raises(ValueError, match="grad_out"):
             conv2d_backward(x, params, np.zeros((1, 3, 5, 5)))
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, whose conv workspaces start empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=120)
+
+
+def kept_buffers():
+    return list(tensor._kept().values())
+
+
+def conv_pass(x, params, g):
+    """Forward and backward of one conv: (out, grad_x, grad_w, grad_b)."""
+    return (conv2d_forward(x, params), *conv2d_backward(x, params, g))
+
+
+def layer_cases(dtype=np.float32, seed=40):
+    """The default network's wide 32->32 and narrow 32->1 convs on two 12x12 images."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for cout in (32, 1):
+        x = rng.standard_normal((2, 32, 12, 12)).astype(dtype)
+        g = rng.standard_normal((2, cout, 12, 12)).astype(dtype)
+        cases.append((x, rand_params(rng, cout, 32, 3, dtype), g))
+    return cases
+
+
+def same_bits(a, b):
+    return all(u.dtype == v.dtype and u.tobytes() == v.tobytes() for u, v in zip(a, b, strict=True))
+
+
+class TestWorkspaces:
+    @pytest.mark.parametrize("case", [0, 1], ids=["wide", "narrow"])
+    def test_results_are_fresh(self, case):
+        x, params, g = layer_cases()[case]
+
+        def run():
+            first = conv_pass(x, params, g)
+            kept = kept_buffers()
+            second = conv_pass(x, params, g)
+            return first, second, kept
+
+        first, second, kept = in_fresh_thread(run)
+        assert kept, "the calls kept no workspace, so nothing was checked"
+        for a in first + second:
+            assert not any(np.shares_memory(a, buf) for buf in kept)
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in second)
+        assert same_bits(first, second)
+
+    def test_float64_call_between_float32_calls(self):
+        cases32, cases64 = layer_cases(np.float32), layer_cases(np.float64)
+        fresh32 = [in_fresh_thread(conv_pass, *c) for c in cases32]
+        fresh64 = [in_fresh_thread(conv_pass, *c) for c in cases64]
+
+        def run():
+            before = [conv_pass(*c) for c in cases32]
+            between = [conv_pass(*c) for c in cases64]
+            after = [conv_pass(*c) for c in cases32]
+            return before, between, after
+
+        before, between, after = in_fresh_thread(run)
+        for got, want in zip(before + after + between, fresh32 + fresh32 + fresh64):
+            assert same_bits(got, want)
+
+    def test_threads_at_once_match_serial_bits(self):
+        cases = layer_cases(seed=41) + layer_cases(seed=42)
+        serial = [in_fresh_thread(conv_pass, *c) for c in cases]
+        start = threading.Barrier(len(cases))
+
+        def worker(i):
+            start.wait(timeout=60)
+            return [conv_pass(*cases[i]) for _ in range(5)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                runs = list(pool.map(worker, range(len(cases)), timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        for want, got in zip(serial, runs):
+            assert all(same_bits(r, want) for r in got)
+
+    def test_large_batch_stays_within_budget(self):
+        rng = np.random.default_rng(43)
+        params = rand_params(rng, 32, 32, 3, np.float32)
+        small = rng.standard_normal((8, 32, 32, 32)).astype(np.float32)
+        large = rng.standard_normal((64, 32, 32, 32)).astype(np.float32)
+
+        def run():
+            conv2d_forward(small, params)
+            kept = sum(a.nbytes for a in kept_buffers())
+            conv2d_forward(large, params)
+            return kept, sum(a.nbytes for a in kept_buffers())
+
+        after_small, after_large = in_fresh_thread(run)
+        assert after_small > 0
+        assert after_large == after_small <= tensor._KEEP_BYTES
 
 
 class TestRelu:

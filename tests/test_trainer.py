@@ -8,7 +8,7 @@ import pytest
 
 from eqreg.data import make_dataset
 from eqreg.group import RotationGroup
-from eqreg.losses import EqRegConfig, equi_loss, output_consistency_loss, total_loss
+from eqreg.losses import EqRegConfig, equi_loss, mismatch, output_consistency_loss, total_loss
 from eqreg.model import (
     LiftingConvOracle,
     build_network,
@@ -16,6 +16,7 @@ from eqreg.model import (
     init_weights,
     network_copy,
 )
+from eqreg.tensor import conv2d_forward
 from eqreg.trainer import (
     ADAM_EPS,
     AdamState,
@@ -269,6 +270,46 @@ class TestTrainStep:
     def test_no_executor_runs_whole_batch(self):
         # without a pool, cfg.threads does not split the batch
         assert self.step_bits(2, None, b=10) == self.step_bits(1, None, b=10)
+
+
+class TestObjectiveReuse:
+    # C8 with output consistency is the one config whose objective reads the
+    # plain output after the rotated forward has run, so a conv buffer reused
+    # across calls that reached the output would show only here
+    def test_c8_oc_bits_do_not_depend_on_earlier_calls(self):
+        group = RotationGroup(8)
+        net = init_weights(build_network(2, 1, group, n_hidden=4), 31)
+        data = make_dataset("inpaint", 72, 32, sigma=0.05)
+        x, clean = data.inputs()[:8], data.clean[:8]
+        reg = EqRegConfig(lam=0.1, output_consistency=True)
+        k = 3
+
+        def bits(result):
+            losses, grads = result
+            return losses, [(gw.tobytes(), gb.tobytes()) for gw, gb in grads]
+
+        def run():
+            twice = [bits(objective(net, (x, clean), k, reg)) for _ in range(2)]
+            forward_with_tape(net, data.inputs()[8:])
+            after_large = bits(objective(net, (x, clean), k, reg))
+            plain, tape = forward_with_tape(net, x)
+            rotated, _ = forward_with_tape(net, group.rotate_image(x, k))
+            return twice, after_large, plain, tape, rotated
+
+        with ThreadPoolExecutor(max_workers=2) as pool:  # fresh threads: their conv workspaces start empty
+            twice, after_large, plain, tape, rotated = pool.submit(run).result(timeout=300)
+            pooled = [f.result(timeout=300) for f in
+                      [pool.submit(objective, net, (x, clean), k, reg) for _ in range(2)]]
+        runs = twice + [after_large] + [bits(r) for r in pooled]
+        assert all(r == runs[0] for r in runs)
+
+        # the plain branch's tape and output, recorded before the rotated forward, still hold
+        for p, a, z in zip(net.conv_params, [x, *tape.hidden], tape.pre_activations):
+            assert conv2d_forward(a, p).tobytes() == z.tobytes()
+        losses = runs[0][0]
+        assert losses["task"] == float(np.sum(np.square(plain - clean, dtype=np.float64))) / clean.size
+        oc_sq = mismatch(plain, rotated, k, group.rotate_image, group.rotate_image_adjoint, clean.size)[0]
+        assert losses["output_consistency"] == oc_sq / clean.size
 
 
 class TestFullObjectiveGradient:
