@@ -291,7 +291,7 @@ def save_checkpoint(path, net):
 
 
 def load_checkpoint(path, expect=None):
-    """Rebuild a network from disk; refuses shape or architecture mismatches."""
+    """Rebuild a network from disk; refuses mismatches, trailing bytes and non-canonical descriptors."""
     with open(path, "rb") as fp:
         raw_len = fp.read(4)
         if len(raw_len) < 4:
@@ -316,12 +316,14 @@ def load_checkpoint(path, expect=None):
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise EqtFormatError("checkpoint holds a non-finite weight or bias")
             tensors.append((w, b))
+        if fp.read(1):
+            raise EqtFormatError("checkpoint holds bytes after its last tensor")
     try:
         net = Network([ConvParams(w, b) for w, b in tensors], group, n_hidden, residual)
     except ValueError as exc:
         raise EqtFormatError(f"checkpoint descriptor {desc!r} is not a valid network: {exc}") from exc
-    if expect is not None:
-        got, want = describe_architecture(net), describe_architecture(expect)
-        if got != want:
-            raise EqtFormatError(f"checkpoint architecture {got!r} does not match expected {want!r}")
+    if describe_architecture(net) != desc:
+        raise EqtFormatError(f"checkpoint descriptor {desc!r} is not the one save_checkpoint writes for its network")
+    if expect is not None and desc != (want := describe_architecture(expect)):
+        raise EqtFormatError(f"checkpoint architecture {desc!r} does not match expected {want!r}")
     return net

@@ -12,19 +12,18 @@ When the output is narrower than the input, building the columns would cost
 more than the GEMM, so the kernel picked by shape instead sums p*p GEMMs over
 shifted slices of the zero-padded input laid flat per channel.
 
-Workspaces: the im2col columns, the padded flat input, the columns' GEMM
-output and the weight gradient's transposed grad_out live in per-thread
-buffers, zeroed once and keyed by (role, shape, dtype), so a training step
-stops allocating them. A workspace never leaves this module: every array a
-kernel returns is freshly allocated, because tapes and outputs outlive the
-next call. Each thread keeps at most _KEEP_BYTES, enough for a batch-8 step
-of the default network; shapes that do not fit are allocated per call.
+Columns: each thread keeps its im2col column buffers, zeroed once and keyed
+by (shape, dtype). Every build writes the same cells, so the padding border
+stays zero and is never written again. A buffer never leaves this module:
+every array a kernel returns is freshly allocated, because tapes and outputs
+outlive the next call. Each thread keeps at most _KEEP_BYTES of columns;
+shapes that do not fit are allocated per call.
 
 Heap: on glibc, importing this module raises malloc's mmap threshold to 16
-MiB and its trim threshold to 32 MiB for the whole process, so the step's
-remaining large temporaries (group-op copies, gradient sums) are reused from
-the heap instead of being returned to the kernel and faulted in again on
-every call. Other C libraries are left alone.
+MiB and its trim threshold to 32 MiB for the whole process, so every other
+large temporary (padded inputs, GEMM outputs, group-op copies, gradient
+sums) is reused from the heap instead of being returned to the kernel and
+faulted in again on every call. Other C libraries are left alone.
 """
 
 import ctypes
@@ -37,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_KEEP_BYTES = 14 << 20  # per thread; a batch-8 step of the default 32x32 network keeps 13.2-13.8 MB
+# per thread: a pool thread's 4-image step columns plus its 8-image meter columns,
+# 13.92 MiB for the default network
+_KEEP_BYTES = 14 << 20
 _local = threading.local()
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
@@ -105,20 +106,18 @@ class ConvParams:
 
 
 def _kept():
-    """This thread's kept workspaces, by (role, shape, dtype)."""
+    """This thread's kept im2col column buffers, by (shape, dtype)."""
     return _local.__dict__.setdefault("kept", {})
 
 
-def _workspace(role, shape, dtype):
-    """This thread's zero-initialised buffer for (role, shape, dtype).
+def _columns(shape, dtype):
+    """This thread's zero-initialised column buffer for (shape, dtype).
 
-    A role's writes land on the same positions for every call with the same
-    key, so the cells it never writes (padding borders) stay zero. Buffers
-    are kept, first come first kept, while the thread's total fits
+    Buffers are kept, first come first kept, while the thread's total fits
     _KEEP_BYTES; a key that does not fit gets a fresh buffer on every call.
     """
     kept = _kept()
-    key = (role, shape, np.dtype(dtype))
+    key = (shape, np.dtype(dtype))
     buf = kept.get(key)
     if buf is None:
         buf = np.zeros(shape, dtype)
@@ -128,7 +127,7 @@ def _workspace(role, shape, dtype):
 
 
 def _im2col(x, p):
-    """Unfold p x p patches of the zero-padded input, K-major, into a workspace.
+    """Unfold p x p patches of the zero-padded input, K-major, into a kept buffer.
 
     Returns (C*p*p, B*H*W): row (c, u, v) is channel c of the padded input
     shifted by (u, v); columns are ordered by (b, i, j). Each shift copies
@@ -137,7 +136,7 @@ def _im2col(x, p):
     """
     b, c, h, w = x.shape
     r = (p - 1) // 2
-    cols = _workspace("cols", (c, p, p, b, h, w), x.dtype)
+    cols = _columns((c, p, p, b, h, w), x.dtype)
     xt = x.transpose(1, 0, 2, 3)
     for u in range(p):
         i0 = max(0, r - u)
@@ -150,7 +149,7 @@ def _im2col(x, p):
 
 
 def _pad_flat(x, p):
-    """Zero-pad to same size and lay the images end to end, per channel, in a workspace.
+    """Zero-pad to same size and lay the images end to end, per channel.
 
     Returns (flat, n, offsets): flat is (C, n + H'*W') with n = B*H'*W' and
     H' = H+2r, W' = W+2r. For kernel tap (u, v) at offsets[u*p + v],
@@ -162,7 +161,7 @@ def _pad_flat(x, p):
     b, c, h, w = x.shape
     r = (p - 1) // 2
     hp, wp = h + 2 * r, w + 2 * r
-    padded = _workspace(("pad", p), (c, b + 1, hp, wp), x.dtype)
+    padded = np.zeros((c, b + 1, hp, wp), x.dtype)
     padded[:, :b, r : r + h, r : r + w] = x.transpose(1, 0, 2, 3)
     return padded.reshape(c, -1), b * hp * wp, [u * wp + v for u in range(p) for v in range(p)]
 
@@ -172,14 +171,12 @@ def _correlate(x, w):
 
     A narrow output (O < C, such as a network's last layer) sums p*p GEMMs on
     shifted slices of the padded input, which reads far less than building
-    the C*p*p columns; otherwise one GEMM runs on the K-major columns and
-    writes a workspace.
+    the C*p*p columns; otherwise one GEMM runs on the K-major columns.
     """
     b, c, h, wd = x.shape
     o, _, p, _ = w.shape
     if o >= c:
-        out = _workspace("gemm", (o, b * h * wd), np.result_type(x, w))
-        return np.matmul(w.reshape(o, -1), _im2col(x, p), out=out).reshape(o, b, h, wd)
+        return (w.reshape(o, -1) @ _im2col(x, p)).reshape(o, b, h, wd)
     flat, n, offsets = _pad_flat(x, p)
     taps = w.reshape(o, c, p * p)
     out = sum(taps[:, :, k] @ flat[:, off : off + n] for k, off in enumerate(offsets))
@@ -189,17 +186,15 @@ def _correlate(x, w):
 def _weight_grad(x, g, p):
     """grad_w[o,c,u,v] = sum over (b, i, j) of g[b,o,i,j] * x[b,c,i+u-r,j+v-r].
 
-    The kernel follows the forward's choice by shape; grad_out is transposed
-    to channel-major in a workspace.
+    The kernel follows the forward's choice by shape; grad_out is copied to
+    channel-major.
     """
     b, c, h, wd = x.shape
     o = g.shape[1]
     if o >= c:
-        g_t = _workspace("grad_out", (o, b, h, wd), g.dtype)
-        g_t[...] = g.transpose(1, 0, 2, 3)
-        return (g_t.reshape(o, -1) @ _im2col(x, p).T).reshape(o, c, p, p)
+        return (g.transpose(1, 0, 2, 3).reshape(o, -1) @ _im2col(x, p).T).reshape(o, c, p, p)
     flat, n, offsets = _pad_flat(x, p)
-    g_flat = _workspace(("grad_out", p), (o, b, h + p - 1, wd + p - 1), g.dtype)
+    g_flat = np.zeros((o, b, h + p - 1, wd + p - 1), g.dtype)
     g_flat[:, :, :h, :wd] = g.transpose(1, 0, 2, 3)
     g_flat = g_flat.reshape(o, n)
     taps = [g_flat @ flat[:, off : off + n].T for off in offsets]

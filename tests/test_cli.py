@@ -264,6 +264,13 @@ class TestEval:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_trailing_bytes_are_io_error(self, tmp_path, trained, shard):
+        p = tmp_path / "long.eqnet"
+        p.write_bytes((trained / "ckpt_final.eqnet").read_bytes() + b"garbage")
+        res = run_subprocess("eval", "--ckpt", str(p), "--data", str(shard))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_non_finite_weight_is_io_error(self, tmp_path, trained, shard):
         # one NaN weight used to load: eval printed mean_psnr=nan, measure-equiv e_out_mean=inf
         net = load_checkpoint(trained / "ckpt_final.eqnet")

@@ -296,6 +296,29 @@ class TestCheckpoint:
         with pytest.raises(EqtFormatError, match="non-finite"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "net.eqnet"
+        save_checkpoint(path, small_net(seed=9))
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(EqtFormatError, match="after its last tensor"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("desc", [
+        "eqnet1 order=4 n_hidden=2 residual=2 layers=conv:1:8:3,relu,conv:8:1:3",
+        "eqnet1 order=4 n_hidden=2 residual=-1 layers=conv:1:8:3,relu,conv:8:1:3",
+        "eqnet1 order=4 n_hidden=2 residual=1 layers=conv:1:8:3,relu,conv:8:1:3 extra=5",
+        "eqnet1 order=8 order=4 n_hidden=2 residual=1 layers=conv:1:8:3,relu,conv:8:1:3",
+    ], ids=["residual-2", "residual-minus-1", "unknown-key", "repeated-key"])
+    def test_non_canonical_descriptor_rejected(self, tmp_path, desc):
+        # each builds a valid network, but save_checkpoint never writes it
+        path = write_descriptor(tmp_path / "net.eqnet", desc)
+        with open(path, "ab") as fp:
+            for cin, cout in ((1, 8), (8, 1)):
+                write_tensor(fp, np.zeros((cout, cin, 3, 3), dtype=np.float32))
+                write_tensor(fp, np.zeros(cout, dtype=np.float32))
+        with pytest.raises(EqtFormatError, match="save_checkpoint writes"):
+            load_checkpoint(path)
+
     def test_descriptor_bytes_pinned(self, tmp_path):
         want = b"eqnet1 order=4 n_hidden=2 residual=1 layers=conv:1:8:3,relu,conv:8:8:3,relu,conv:8:1:3"
         path = tmp_path / "net.eqnet"

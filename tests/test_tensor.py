@@ -286,6 +286,26 @@ class TestWorkspaces:
         assert after_small > 0
         assert after_large == after_small <= tensor._KEEP_BYTES
 
+    def test_meter_columns_kept_after_step_chunks(self):
+        # a pool thread runs 4-image step chunks of the default network's
+        # convs, then an 8-image meter forward: both sets of columns fit
+        rng = np.random.default_rng(44)
+        layers = [rand_params(rng, cout, cin, 3, np.float32) for cin, cout in ((1, 32), (32, 32), (32, 1))]
+
+        def images(b, c):
+            return rng.standard_normal((b, c, 32, 32)).astype(np.float32)
+
+        def run():
+            for params in layers:
+                conv_pass(images(4, params.in_channels), params, images(4, params.out_channels))
+            for params in layers:
+                conv2d_forward(images(8, params.in_channels), params)
+            return [(buf.shape, buf.dtype, buf.nbytes) for buf in kept_buffers()]
+
+        kept = in_fresh_thread(run)
+        assert ((32, 3, 3, 8, 32, 32), np.float32) in [(shape, dtype) for shape, dtype, _ in kept]
+        assert sum(nbytes for _, _, nbytes in kept) <= tensor._KEEP_BYTES
+
 
 class TestRelu:
     def test_values(self):

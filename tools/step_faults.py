@@ -4,9 +4,11 @@
 
 Imports eqreg from CHECKOUT/src and, for each config (or just CONFIG), builds
 the benchmark's network and a 64-image training shard, runs WARMUP steps of
-trainer.train_step and then STEPS timed ones. It prints one line per config:
-the step p50, and the minor page faults and system CPU time per timed step,
-both from getrusage deltas over the timed steps. Each config runs in its own
+trainer.train_step and then STEPS timed ones, then times one
+trainer.measure_equivariance on a HELDOUT-image shard on the same executor.
+It prints one line per config: the step p50, the minor page faults and
+system CPU time per timed step, both from getrusage deltas over the timed
+steps, and the meter's images per second. Each config runs in its own
 process, so one config's heap does not carry into the next. BLAS is pinned
 to one thread, as the eqreg CLI and the benchmark pin it.
 """
@@ -26,6 +28,7 @@ WARMUP = 20
 STEPS = 130
 BATCH = 8
 COUNT = 64
+HELDOUT = 200
 
 
 def measure(name):
@@ -41,6 +44,7 @@ def measure(name):
 
     task, sigma, order, n_hidden, threads, oc = CONFIGS[name]
     data = make_dataset(task, COUNT, seed=1, sigma=sigma)
+    heldout = make_dataset(task, HELDOUT, seed=3, sigma=sigma)
     inputs, clean = data.inputs(), data.clean
     net = init_weights(build_network(inputs.shape[1], clean.shape[1], RotationGroup(order), n_hidden=n_hidden), 0)
     cfg = trainer.TrainConfig(steps=WARMUP + STEPS, batch_size=BATCH, seed=2, threads=threads,
@@ -56,11 +60,14 @@ def measure(name):
             trainer.train_step(state, (inputs[lo : lo + BATCH], clean[lo : lo + BATCH]), cfg)
             times.append(time.perf_counter() - start)
         after = resource.getrusage(resource.RUSAGE_SELF)
+        start = time.perf_counter()
+        trainer.measure_equivariance(state.net, heldout, executor=state.executor)
+        meter_s = time.perf_counter() - start
     p50 = 1e3 * statistics.median(times[WARMUP:])
     faults = (after.ru_minflt - before.ru_minflt) / STEPS
     sys_ms = 1e3 * (after.ru_stime - before.ru_stime) / STEPS
-    print(f"{name:16s} step p50 {p50:6.1f} ms  minor faults/step {faults:7.1f}  sys/step {sys_ms:5.2f} ms",
-          flush=True)
+    print(f"{name:16s} step p50 {p50:6.1f} ms  minor faults/step {faults:7.1f}  sys/step {sys_ms:5.2f} ms"
+          f"  meter {HELDOUT / meter_s:5.0f} images/s", flush=True)
 
 
 def main(argv):
