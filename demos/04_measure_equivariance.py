@@ -8,7 +8,7 @@ dataset, reported per rotation k.
 
 import numpy as np
 
-from eqreg import (LiftingConvOracle, RotationGroup, build_network,
+from eqreg import (ConvParams, LiftingConvOracle, Network, RotationGroup, build_network,
                    init_weights, make_dataset, measure_equivariance)
 
 group = RotationGroup(4)
@@ -33,9 +33,14 @@ show("identity (zero weights, residual)", measure_equivariance(identity, data))
 random_net = init_weights(build_network(1, 1, group), seed=3)
 show("\nrandom init", measure_equivariance(random_net, data))
 
-# a lifted convolution is exactly equivariant in its features; its "output"
-# is a feature stack, so no PSNR is defined for it
+# a lifted convolution is exactly equivariant in its features: as the first
+# conv of a residual net, with its kernel's four rotations stacked and a zero
+# last conv, the hidden map is the lift and the output is the input
 oracle = LiftingConvOracle(np.random.default_rng(4).standard_normal((2, 1, 3, 3)), group)
-rep = measure_equivariance(oracle, data)
+stack = np.concatenate([group.rotate_image(oracle.weight, k) for k in range(group.order)])
+width = len(stack)  # 2 base kernels x 4 rotations
+lifted = Network([ConvParams(stack, np.zeros(width)), ConvParams(np.zeros((1, width, 3, 3)), np.zeros(1))],
+                 group, n_hidden=2)
+rep = measure_equivariance(lifted, data)
 show("\nlifted convolution", rep)
 print(f"  (feature errors at float rounding: {max(max(v) for v in rep.feature_errors.values()):.2e})")

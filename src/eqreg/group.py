@@ -66,10 +66,10 @@ def _plan_pair(side, order, k):
 
 
 def _apply_plan(plan, x):
+    """The plan on every image of x, as one product with a contiguous (H*W, B*C) float64 copy."""
     side = x.shape[-1]
-    flat = x.reshape(-1, side * side).astype(np.float64, copy=False)
-    out = plan.dot(flat.T).T
-    return np.ascontiguousarray(out, dtype=x.dtype).reshape(x.shape)
+    cols = np.ascontiguousarray(x.reshape(-1, side * side).T, dtype=np.float64)
+    return np.ascontiguousarray((plan @ cols).T, dtype=x.dtype).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ the list alone fixes the conv/relu stack. Hidden activations (post-relu) are
 the regularization points recorded on the tape; the final conv output
 optionally gets a residual add of the leading input channels. Also provides
 a one-layer lifting convolution whose output is exactly equivariant for
-quarter-turn groups, used as an oracle elsewhere.
+quarter-turn groups, used as an oracle by the tests and demos.
 """
 
 import math
@@ -91,40 +91,34 @@ class Tape:
     """Activations recorded by forward_with_tape, in layer order.
 
     hidden holds the post-relu regularization points, which are also the
-    inputs of every conv after the first; input is the first conv's input.
-    pre_activations holds what the relu backward needs.
+    inputs of every conv after the first and the relu backward's masks, since
+    relu(z) > 0 exactly where z > 0; input is the first conv's input.
     """
 
     input: np.ndarray
-    pre_activations: list
     hidden: list
 
     def __len__(self):
         return len(self.hidden)
 
+    @property
+    def pre_activations(self):  # kept for bench/checks.py::_relu_pattern until the next benchmark change
+        return self.hidden
+
 
 def forward_with_tape(net, x):
-    """Run the network and record every regularization point.
-
-    Returns (output, Tape). Accepts a LiftingConvOracle as the network, in
-    which case the single lifted feature map is both output and tape entry.
-    """
-    if isinstance(net, LiftingConvOracle):
-        out = lifting_forward(net, x)
-        return out, Tape(input=x, pre_activations=[], hidden=[out])
+    """Run the network and record every regularization point; returns (output, Tape)."""
     x = as_tensor4(x)
     if x.shape[1] != net.in_channels:
         raise ValueError(f"input has {x.shape[1]} channels, network expects {net.in_channels}")
-    pre_acts, hidden = [], []
+    hidden = []
     h = x
     for p in net.conv_params[:-1]:
-        z = conv2d_forward(h, p)
-        pre_acts.append(z)
-        h = relu_forward(z)
+        h = relu_forward(conv2d_forward(h, p))
         hidden.append(h)
     h = conv2d_forward(h, net.conv_params[-1])
     out = h + x[:, : net.out_channels] if net.residual else h
-    return out, Tape(x, pre_acts, hidden)
+    return out, Tape(x, hidden)
 
 
 def backprop(net, tape, grad_output=None, hidden_grads=None):
@@ -145,7 +139,7 @@ def backprop(net, tape, grad_output=None, hidden_grads=None):
             if inject is not None:
                 g = inject if g is None else g + inject
             if g is not None:
-                g = relu_backward(tape.pre_activations[i], g)
+                g = relu_backward(tape.hidden[i], g)
         if g is None:
             p = convs[i]
             grads[i] = (np.zeros_like(p.weight), np.zeros_like(p.bias))

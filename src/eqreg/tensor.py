@@ -223,7 +223,7 @@ def conv2d_backward(x, params, grad_out, need_grad_x=True):
     x = as_tensor4(x)
     g = as_tensor4(grad_out, "grad_out")
     w = params.weight
-    o, c, p, _ = w.shape
+    o, _, p, _ = w.shape
     if g.shape != (x.shape[0], o, x.shape[2], x.shape[3]):
         raise ValueError(f"grad_out shape {g.shape} does not match forward output")
 
@@ -233,7 +233,7 @@ def conv2d_backward(x, params, grad_out, need_grad_x=True):
         return None, grad_w, grad_b
 
     w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    grad_x = conv2d_forward(g, ConvParams(w_flip, np.zeros(c, dtype=w.dtype)))
+    grad_x = np.ascontiguousarray(_correlate(g, w_flip).transpose(1, 0, 2, 3))
     return grad_x, grad_w, grad_b
 
 
@@ -242,7 +242,8 @@ def relu_forward(x):
 
 
 def relu_backward(x, grad_out):
-    """Pass gradient where the forward input was strictly positive.
+    """Pass gradient where x > 0; x is the relu's input or its output, which
+    are positive at the same entries.
 
     ANDs grad_out's bits with an all-ones or all-zeros mask: kept entries pass
     unchanged (NaN and -0 included) and the rest become +0.

@@ -281,23 +281,21 @@ class EquivReport:
         return header, rows
 
 
-def _meter_columns(net, dataset, clean, ks, batch_size, executor):
+def _meter_columns(net, dataset, ks, batch_size, executor):
     """Per-image columns over the dataset, computed in batches, joined in batch order.
 
-    Column 0 holds the PSNRs against clean (NaN without clean; feature
-    extractors have no restoration PSNR). Then come the norms of the output
-    and of each hidden map, then for each k in ks the norms of their
-    equivariance errors, in the same order. Only these vectors outlive a
-    batch, so memory does not grow with the dataset. Batches run on executor
-    when one is given; the columns do not depend on it.
+    Column 0 holds the PSNRs against the clean stack. Then come the norms of
+    the output and of each hidden map, then for each k in ks the norms of
+    their equivariance errors, in the same order. Only these vectors outlive
+    a batch, so memory does not grow with the dataset. Batches run on
+    executor when one is given; the columns do not depend on it.
     """
-    inputs, group = dataset.inputs(), net.group
+    inputs, clean, group = dataset.inputs(), dataset.clean, net.group
 
     def batch(s):
         x = inputs[s]
         out, tape = forward_with_tape(net, x)
-        ref = None if clean is None else clean[s]
-        cols = [np.full(len(x), np.nan) if ref is None else np.array([psnr(o, c) for o, c in zip(out, ref)])]
+        cols = [np.array([psnr(o, c) for o, c in zip(out, clean[s])])]
         cols += [_per_image_norms(a) for a in (out, *tape.hidden)]
         for k in ks:
             rot_out, rot_tape = forward_with_tape(net, group.rotate_image(x, k))
@@ -314,7 +312,7 @@ def evaluate(net, dataset, batch_size=METER_BATCH, executor=None):
     """Mean PSNR of the restored stack against the clean stack."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    per = _meter_columns(net, dataset, dataset.clean, (), batch_size, executor)[0]
+    per = _meter_columns(net, dataset, (), batch_size, executor)[0]
     return EvalResult(float(per.mean()), per)
 
 
@@ -323,8 +321,7 @@ def measure_equivariance(net, dataset, batch_size=METER_BATCH, executor=None):
     if len(dataset) == 0:
         raise ValueError("cannot measure equivariance on an empty dataset")
     order = net.group.order
-    clean = dataset.clean if net.out_channels == dataset.clean.shape[1] else None
-    psnrs, *cols = _meter_columns(net, dataset, clean, range(1, order), batch_size, executor)
+    psnrs, *cols = _meter_columns(net, dataset, range(1, order), batch_size, executor)
     n_maps = len(cols) // order
     output_errors, feature_errors = {}, {}
     for k in range(1, order):

@@ -119,8 +119,6 @@ def measure_equivariance_whole_shard(net, dataset, batch_size=64):
             for h, h_rot in zip(base_hidden, rot_hidden)
         ]
 
-    if base_out.shape != dataset.clean.shape:
-        return float("nan"), output_errors, feature_errors
     psnrs = []
     for o, c in zip(base_out, dataset.clean):
         mse = float(np.mean(np.square(o - c, dtype=np.float64)))

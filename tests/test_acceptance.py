@@ -6,10 +6,12 @@ experiment tests at the bottom train real networks and dominate the runtime.
 """
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from eqreg.model import (
     build_network,
     forward_with_tape,
     init_weights,
+    lifting_forward,
     network_copy,
 )
 from eqreg.tensor import frobenius_sq
@@ -102,10 +105,10 @@ def test_lifting_layer_loss_vanishes():
         s = int(rng.integers(4, 13))
         oracle = LiftingConvOracle(rng.standard_normal((n, cin, 3, 3)), G4)
         x = rng.standard_normal((1, cin, s, s))
-        _, tape = forward_with_tape(oracle, x)
+        lift = lifting_forward(oracle, x)
         for k in range(4):
-            _, tape_rot = forward_with_tape(oracle, G4.rotate_image(x, k))
-            worst = max(worst, frobenius_sq(G4.feature_transform(tape.hidden[0], k) - tape_rot.hidden[0]))
+            rot = lifting_forward(oracle, G4.rotate_image(x, k))
+            worst = max(worst, frobenius_sq(G4.feature_transform(lift, k) - rot))
     print(f"lifting squared mismatch: worst {worst:.3g} over 100 trials x 4 rotations")
     assert worst < 1e-18
 
@@ -191,23 +194,32 @@ def test_psnr_unit_values():
     assert abs(p40 - 40.0) < 1e-9
 
 
+def _train_arm(task, lam, train_ds, eval_ds):
+    """One arm of _train_pair; module-level so a spawned worker can import it."""
+    net = build_network(train_ds.inputs().shape[1], train_ds.clean.shape[1], G4)
+    net = init_weights(net, 0)
+    cfg = TrainConfig(
+        steps=2000, batch_size=8, lr=2e-3, seed=0, task=task,
+        eval_period=2000, eqreg=EqRegConfig(lam=lam),
+    )
+    _, _, report = train(net, train_ds, cfg, eval_data=eval_ds)
+    return report
+
+
 def _train_pair(task, sigma, mask_rate, data_seeds):
-    """Train lam=0 and lam=0.1 from one init/seed; returns reports keyed by lam."""
+    """Train lam=0 and lam=0.1 from one init/seed; returns reports keyed by lam.
+
+    The two arms run at once in two spawned processes, which inherit the
+    one-thread BLAS setting of the root conftest.py.
+    """
     kwargs = {"sigma": sigma}
     if task == "inpaint":
         kwargs["mask_rate"] = mask_rate
     train_ds = make_dataset(task, 500, seed=data_seeds[0], **kwargs)
     eval_ds = make_dataset(task, 100, seed=data_seeds[1], **kwargs)
-    reports = {}
-    for lam in (0.0, 0.1):
-        net = build_network(train_ds.inputs().shape[1], train_ds.clean.shape[1], G4)
-        net = init_weights(net, 0)
-        cfg = TrainConfig(
-            steps=2000, batch_size=8, lr=2e-3, seed=0, task=task,
-            eval_period=2000, eqreg=EqRegConfig(lam=lam),
-        )
-        _, _, report = train(net, train_ds, cfg, eval_data=eval_ds)
-        reports[lam] = report
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        arms = {lam: pool.submit(_train_arm, task, lam, train_ds, eval_ds) for lam in (0.0, 0.1)}
+        reports = {lam: arm.result() for lam, arm in arms.items()}
     return eval_ds, reports
 
 

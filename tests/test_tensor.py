@@ -335,6 +335,15 @@ class TestRelu:
             np.testing.assert_array_equal(got.view(bits), want.view(bits))
             assert not np.signbit(got[xs <= 0]).any() and not np.isnan(got[np.isnan(xs)]).any()
 
+    def test_backward_reads_same_mask_from_output(self):
+        # backprop masks with the post-relu value; relu(z) > 0 exactly where
+        # z > 0, specials included, so the gradient keeps every bit
+        for dtype in (np.float32, np.float64):
+            tiny = np.finfo(dtype).smallest_subnormal
+            vals = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5, tiny, -tiny], dtype=dtype)
+            zs, gs = (v.reshape(1, 1, len(vals), len(vals)) for v in np.meshgrid(vals, vals))
+            assert relu_backward(relu_forward(zs), gs).tobytes() == relu_backward(zs, gs).tobytes()
+
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 2, 5, 5)) + 0.3  # keep coordinates away from the kink

@@ -11,12 +11,13 @@ from eqreg.group import RotationGroup
 from eqreg.losses import EqRegConfig, equi_loss, mismatch, output_consistency_loss, total_loss
 from eqreg.model import (
     LiftingConvOracle,
+    Network,
     build_network,
     forward_with_tape,
     init_weights,
     network_copy,
 )
-from eqreg.tensor import conv2d_forward
+from eqreg.tensor import ConvParams, conv2d_forward, relu_forward
 from eqreg.trainer import (
     ADAM_EPS,
     AdamState,
@@ -40,6 +41,18 @@ G4 = RotationGroup(4)
 def tiny_net(seed=0, in_ch=1, out_ch=1, dtype=np.float32, group=G4):
     net = build_network(in_ch, out_ch, group, n_hidden=2, depth=3, dtype=dtype)
     return init_weights(net, seed)
+
+
+def lifted_network(oracle):
+    """Depth-2 residual net whose hidden map is the oracle's lift and whose output is its input.
+
+    The first conv is the stack of the base kernel's rotations with zero
+    bias; the last conv is zero.
+    """
+    group, (n, cin, p, _) = oracle.group, oracle.weight.shape
+    stack = np.concatenate([group.rotate_image(oracle.weight, k) for k in range(group.order)])
+    last = ConvParams(np.zeros((cin, len(stack), p, p)), np.zeros(cin))
+    return Network([ConvParams(stack, np.zeros(len(stack))), last], group, n)
 
 
 def tiny_batch(seed, b=4, ch=1, size=8):
@@ -304,8 +317,8 @@ class TestObjectiveReuse:
         assert all(r == runs[0] for r in runs)
 
         # the plain branch's tape and output, recorded before the rotated forward, still hold
-        for p, a, z in zip(net.conv_params, [x, *tape.hidden], tape.pre_activations):
-            assert conv2d_forward(a, p).tobytes() == z.tobytes()
+        for p, a, h in zip(net.conv_params, [x, *tape.hidden], tape.hidden):
+            assert relu_forward(conv2d_forward(a, p)).tobytes() == h.tobytes()
         losses = runs[0][0]
         assert losses["task"] == float(np.sum(np.square(plain - clean, dtype=np.float64))) / clean.size
         oc_sq = mismatch(plain, rotated, k, group.rotate_image, group.rotate_image_adjoint, clean.size)[0]
@@ -402,12 +415,20 @@ class TestMeasureEquivariance:
 
     def test_lifting_oracle_feature_error_vanishes(self):
         rng = np.random.default_rng(29)
-        oracle = LiftingConvOracle(rng.standard_normal((2, 1, 3, 3)), G4)
+        net = lifted_network(LiftingConvOracle(rng.standard_normal((2, 1, 3, 3)), G4))
         ds = make_dataset("denoise", 3, seed=30)
-        rep = measure_equivariance(oracle, ds)
+        rep = measure_equivariance(net, ds)
         for k, feats in rep.feature_errors.items():
             for e in feats:
                 assert e < 1e-15, (k, e)
+        assert rep.e_out_mean == 0.0
+
+    def test_outputs_unlike_clean_stack_rejected(self):
+        # four output channels against a one-channel clean stack have no PSNR
+        net = build_network(1, 4, G4, residual=False)
+        ds = make_dataset("denoise", 3, seed=30)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            measure_equivariance(net, ds)
 
     def test_random_net_has_nonzero_errors(self):
         net = tiny_net(seed=31)
@@ -426,15 +447,14 @@ class TestMeasureEquivariance:
 
 
 def same_report(rep, psnr_value, output_errors, feature_errors):
-    """Bit-for-bit equality of an EquivReport with the given fields (NaN equals NaN)."""
-    same_psnr = rep.psnr == psnr_value or (math.isnan(rep.psnr) and math.isnan(psnr_value))
-    return same_psnr and rep.output_errors == output_errors and rep.feature_errors == feature_errors
+    """Bit-for-bit equality of an EquivReport with the given fields."""
+    return rep.psnr == psnr_value and rep.output_errors == output_errors and rep.feature_errors == feature_errors
 
 
 def meter_case(name):
     if name == "oracle":
         oracle = LiftingConvOracle(np.random.default_rng(50).standard_normal((2, 1, 3, 3)), G4)
-        return oracle, make_dataset("denoise", 37, seed=51)
+        return lifted_network(oracle), make_dataset("denoise", 37, seed=51)
     order, n_hidden, count = {"c4-37": (4, 2, 37), "c4-200": (4, 8, 200), "c8-37": (8, 4, 37)}[name]
     net = init_weights(build_network(1, 1, RotationGroup(order), n_hidden=n_hidden), seed=52)
     return net, make_dataset("denoise", count, seed=53)
