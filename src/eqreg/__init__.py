@@ -43,7 +43,6 @@ _EXPORTS = {
     "total_loss": "losses",
     "equi_injections": "losses",
     # data
-    "SceneSpec": "data",
     "Dataset": "data",
     "NetpbmError": "data",
     "ShardError": "data",
@@ -62,7 +61,6 @@ _EXPORTS = {
     "AdamState": "trainer",
     "NumericsError": "trainer",
     "EquivReport": "trainer",
-    "EvalResult": "trainer",
     "psnr": "trainer",
     "adam_update": "trainer",
     "init_state": "trainer",

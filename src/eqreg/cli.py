@@ -87,12 +87,11 @@ def _threads():
 
 
 def _cmd_gen_data(args):
-    from .data import SceneSpec, make_dataset, write_shard
+    from .data import make_dataset, write_shard
 
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    spec = SceneSpec(size=args.size)
-    ds = make_dataset(args.task, args.count, args.seed, spec, args.sigma, args.mask_rate)
+    ds = make_dataset(args.task, args.count, args.seed, args.size, args.sigma, args.mask_rate)
     write_shard(args.out, ds)
     print(f"wrote {args.count} {args.task} samples to {args.out}")
     return 0
@@ -157,8 +156,8 @@ def _cmd_eval(args):
     net = load_checkpoint(args.ckpt)
     data = read_shard(args.data)
     with batch_executor(_threads()) as executor:
-        res = evaluate(net, data, executor=executor)
-    print(f"mean_psnr={res.mean_psnr:.6f} over {len(data)} images")
+        mean_psnr = evaluate(net, data, executor=executor)
+    print(f"mean_psnr={mean_psnr:.6f} over {len(data)} images")
     return 0
 
 

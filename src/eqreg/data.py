@@ -1,14 +1,14 @@
 """Synthetic restoration data: rendered scenes, degradations, netpbm I/O, shards.
 
-Every random stream is keyed by an integer list fed to default_rng, so a
-(spec, seed) pair pins each byte of a shard: clean image i uses
+Every random stream is keyed by an integer list fed to default_rng, so the
+seed and the other arguments pin each byte of a shard: clean image i uses
 [seed, 0, i], the degradation pass uses [seed, 1].
 """
 
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,54 +31,43 @@ SHARD_ROLES = ("degraded", "clean", "mask")
 # --- scene synthesis ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """Ranges for the shape compositor; all draws are uniform."""
-
-    size: int = 32
-    shapes_min: int = 3
-    shapes_max: int = 6
-    disc_radius: tuple = (2.0, 6.0)
-    bar_length: tuple = (6.0, 16.0)
-    bar_width: tuple = (1.0, 3.0)
-    intensity: tuple = (0.2, 1.0)
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if not 0 < self.shapes_min <= self.shapes_max:
-            raise ValueError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
+# Ranges for the shape compositor; all draws are uniform.
+SHAPE_COUNT = (3, 6)  # inclusive
+DISC_RADIUS = (2.0, 6.0)
+BAR_LENGTH = (6.0, 16.0)
+BAR_WIDTH = (1.0, 3.0)
+INTENSITY = (0.2, 1.0)
 
 
-def sample_shapes(spec, rng):
+def sample_shapes(rng, size=32):
     """Draw the shape list for one scene; order of draws is part of the format."""
-    count = int(rng.integers(spec.shapes_min, spec.shapes_max + 1))
+    count = int(rng.integers(SHAPE_COUNT[0], SHAPE_COUNT[1] + 1))
     shapes = []
     for _ in range(count):
         kind = "disc" if rng.integers(0, 2) == 0 else "bar"
-        cy = rng.uniform(0, spec.size - 1)
-        cx = rng.uniform(0, spec.size - 1)
+        cy = rng.uniform(0, size - 1)
+        cx = rng.uniform(0, size - 1)
         if kind == "disc":
             shapes.append({
                 "kind": kind, "cy": cy, "cx": cx,
-                "radius": rng.uniform(*spec.disc_radius),
-                "value": rng.uniform(*spec.intensity),
+                "radius": rng.uniform(*DISC_RADIUS),
+                "value": rng.uniform(*INTENSITY),
             })
         else:
             shapes.append({
                 "kind": kind, "cy": cy, "cx": cx,
-                "length": rng.uniform(*spec.bar_length),
-                "width": rng.uniform(*spec.bar_width),
+                "length": rng.uniform(*BAR_LENGTH),
+                "width": rng.uniform(*BAR_WIDTH),
                 "angle": rng.uniform(0, 2 * np.pi),
-                "value": rng.uniform(*spec.intensity),
+                "value": rng.uniform(*INTENSITY),
             })
     return shapes
 
 
-def render_scene(spec, shapes):
+def render_scene(shapes, size=32):
     """Composite shapes by per-pixel max; returns (1, size, size) float64 in [0, 1]."""
-    yy, xx = np.mgrid[0 : spec.size, 0 : spec.size].astype(np.float64)
-    img = np.zeros((spec.size, spec.size))
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    img = np.zeros((size, size))
     for s in shapes:
         dy = yy - s["cy"]
         dx = xx - s["cx"]
@@ -92,12 +81,14 @@ def render_scene(spec, shapes):
     return np.clip(img, 0.0, 1.0)[None]
 
 
-def generate_clean(spec, seed, count):
+def generate_clean(seed, count, size=32):
     """(count, 1, size, size) float32 stack of rendered scenes."""
-    out = np.empty((count, 1, spec.size, spec.size), dtype=np.float32)
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    out = np.empty((count, 1, size, size), dtype=np.float32)
     for i in range(count):
         rng = np.random.default_rng([seed, 0, i])
-        out[i] = render_scene(spec, sample_shapes(spec, rng)).astype(np.float32)
+        out[i] = render_scene(sample_shapes(rng, size), size).astype(np.float32)
     return out
 
 
@@ -223,13 +214,12 @@ class Dataset:
         return np.concatenate([self.degraded, self.mask], axis=1)
 
 
-def make_dataset(task, count, seed, spec=None, sigma=0.1, mask_rate=0.3):
+def make_dataset(task, count, seed, size=32, sigma=0.1, mask_rate=0.3):
     """Render, degrade and wrap a shard for the given task."""
-    spec = spec or SceneSpec()
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     rate = mask_rate if task == "inpaint" else None
-    clean = generate_clean(spec, seed, count)
+    clean = generate_clean(seed, count, size)
     degraded, mask = degrade(clean, seed, sigma, rate)
     records = ["degraded", "clean"] + (["mask"] if mask is not None else [])
     meta = {
@@ -237,12 +227,15 @@ def make_dataset(task, count, seed, spec=None, sigma=0.1, mask_rate=0.3):
         "task": task,
         "count": count,
         "channels": 1,
-        "size": spec.size,
+        "size": size,
         "seed": seed,
         "sigma": sigma,
         "mask_rate": rate,
         "records": records,
-        "scene": asdict(spec),
+        "scene": {
+            "size": size, "shapes_min": SHAPE_COUNT[0], "shapes_max": SHAPE_COUNT[1],
+            "disc_radius": DISC_RADIUS, "bar_length": BAR_LENGTH, "bar_width": BAR_WIDTH, "intensity": INTENSITY,
+        },
     }
     return Dataset(degraded, clean, mask, meta)
 

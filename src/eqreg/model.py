@@ -156,15 +156,14 @@ def add_grads(a, b):
     return [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(a, b)]
 
 
-def build_network(in_channels, out_channels, group, n_hidden=8, depth=3, kernel_size=3,
-                  residual=True, dtype=np.float32):
-    """Zero-initialized stack of `depth` convs with relus in between."""
+def build_network(in_channels, out_channels, group, n_hidden=8, depth=3, kernel_size=3, residual=True):
+    """Zero-initialized float32 stack of `depth` convs with relus in between; network_astype casts it."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     width = n_hidden * group.order
     sizes = [in_channels] + [width] * (depth - 1) + [out_channels]
     convs = [
-        ConvParams(np.zeros((cout, cin, kernel_size, kernel_size), dtype=dtype), np.zeros(cout, dtype=dtype))
+        ConvParams(np.zeros((cout, cin, kernel_size, kernel_size), np.float32), np.zeros(cout, np.float32))
         for cin, cout in zip(sizes, sizes[1:])
     ]
     return Network(convs, group, n_hidden, residual)

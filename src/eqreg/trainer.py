@@ -233,11 +233,6 @@ def train_step(state, batch, cfg):
 
 # --- evaluation -------------------------------------------------------------------
 
-@dataclass
-class EvalResult:
-    mean_psnr: float
-    per_image: np.ndarray
-
 
 def _per_image_norms(x):
     return np.sqrt(np.sum(np.square(x, dtype=np.float64), axis=(1, 2, 3)))
@@ -281,8 +276,8 @@ class EquivReport:
         return header, rows
 
 
-def _meter_columns(net, dataset, ks, batch_size, executor):
-    """Per-image columns over the dataset, computed in batches, joined in batch order.
+def _meter_columns(net, dataset, ks, executor):
+    """Per-image columns over the dataset, computed in METER_BATCH-image batches, joined in batch order.
 
     Column 0 holds the PSNRs against the clean stack. Then come the norms of
     the output and of each hidden map, then for each k in ks the norms of
@@ -304,24 +299,23 @@ def _meter_columns(net, dataset, ks, batch_size, executor):
                      for h, r in zip(tape.hidden, rot_tape.hidden)]
         return cols
 
-    parts = _map_slices(batch, len(inputs), batch_size, executor)
+    parts = _map_slices(batch, len(inputs), METER_BATCH, executor)
     return [np.concatenate(col) for col in zip(*parts)]
 
 
-def evaluate(net, dataset, batch_size=METER_BATCH, executor=None):
+def evaluate(net, dataset, executor=None):
     """Mean PSNR of the restored stack against the clean stack."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    per = _meter_columns(net, dataset, (), batch_size, executor)[0]
-    return EvalResult(float(per.mean()), per)
+    return float(_meter_columns(net, dataset, (), executor)[0].mean())
 
 
-def measure_equivariance(net, dataset, batch_size=METER_BATCH, executor=None):
+def measure_equivariance(net, dataset, executor=None):
     """Dataset-mean relative output and per-layer feature errors for every k >= 1."""
     if len(dataset) == 0:
         raise ValueError("cannot measure equivariance on an empty dataset")
     order = net.group.order
-    psnrs, *cols = _meter_columns(net, dataset, range(1, order), batch_size, executor)
+    psnrs, *cols = _meter_columns(net, dataset, range(1, order), executor)
     n_maps = len(cols) // order
     output_errors, feature_errors = {}, {}
     for k in range(1, order):
@@ -345,9 +339,9 @@ def train(net, train_data, cfg, eval_data=None):
     """Run cfg.steps of train_step with periodic evaluation and checkpoints.
 
     Writes report.csv, config.json and checkpoints under cfg.out_dir when set;
-    an empty shard, or one whose input channels the network does not take,
-    is refused first. Returns (net, rows, final EquivReport); rows carry one
-    dict per eval point.
+    an empty shard, or one whose input or clean channels do not match the
+    network's, is refused first. Returns (net, rows, final EquivReport); rows
+    carry one dict per eval point.
     """
     measured = eval_data if eval_data is not None else train_data
     for role, ds in (("training", train_data), ("eval", measured)):
@@ -355,6 +349,8 @@ def train(net, train_data, cfg, eval_data=None):
             raise ValueError(f"{role} shard is empty")
         if ds.inputs().shape[1] != net.in_channels:
             raise ValueError(f"{role} shard has {ds.inputs().shape[1]} input channels, the network takes {net.in_channels}")
+        if ds.clean.shape[1] != net.out_channels:
+            raise ValueError(f"{role} shard has {ds.clean.shape[1]} clean channels, the network outputs {net.out_channels}")
     out_dir = cfg.out_dir
     state = init_state(net, cfg)
     inputs = train_data.inputs()

@@ -24,6 +24,7 @@ from eqreg.model import (
     forward_with_tape,
     init_weights,
     lifting_forward,
+    network_astype,
     network_copy,
 )
 from eqreg.tensor import frobenius_sq
@@ -117,7 +118,7 @@ def test_full_objective_gradient():
     # analytic gradient of MSE + 0.1 * equi versus central differences on the
     # default architecture, >= 100 weight coordinates, rel err < 1e-4
     t0 = time.monotonic()
-    net = init_weights(build_network(1, 1, G4, n_hidden=8, depth=3, dtype=np.float64), 5)
+    net = init_weights(network_astype(build_network(1, 1, G4, n_hidden=8, depth=3), np.float64), 5)
     rng = np.random.default_rng(6)
     x = rng.random((2, 1, 8, 8))
     clean = rng.random((2, 1, 8, 8))

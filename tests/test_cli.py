@@ -97,6 +97,13 @@ class TestGenData:
         assert "sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert run_cli("gen-data", "--out", str(out), "--count", "2", "--size", "0") == 1
+        err = capsys.readouterr().err
+        assert "size must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained):

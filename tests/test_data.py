@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from eqreg import data
 from eqreg.tensor import EqtFormatError, write_tensor
 from eqreg.data import (
     Dataset,
     NetpbmError,
-    SceneSpec,
     ShardError,
     degrade,
     generate_clean,
@@ -25,52 +25,50 @@ from eqreg.data import (
 
 class TestScenes:
     def test_clean_batch_shape_and_range(self):
-        imgs = generate_clean(SceneSpec(), 0, 12)
+        imgs = generate_clean(0, 12)
         assert imgs.shape == (12, 1, 32, 32) and imgs.dtype == np.float32
         assert imgs.min() >= 0.0 and imgs.max() <= 1.0
 
     def test_same_seed_same_bits(self):
-        assert generate_clean(SceneSpec(), 3, 5).tobytes() == generate_clean(SceneSpec(), 3, 5).tobytes()
+        assert generate_clean(3, 5).tobytes() == generate_clean(3, 5).tobytes()
 
     def test_per_image_stream_is_stable_under_count(self):
         # image i depends only on (seed, i), so growing the batch never
         # perturbs earlier images
-        few = generate_clean(SceneSpec(), 9, 3)
-        many = generate_clean(SceneSpec(), 9, 8)
+        few = generate_clean(9, 3)
+        many = generate_clean(9, 8)
         np.testing.assert_array_equal(many[:3], few)
 
     def test_images_are_nonempty_and_distinct(self):
-        imgs = generate_clean(SceneSpec(), 1, 6)
+        imgs = generate_clean(1, 6)
         assert all(img.max() > 0 for img in imgs)
         flat = {img.tobytes() for img in imgs}
         assert len(flat) == 6
 
     def test_custom_size(self):
-        spec = SceneSpec(size=16)
-        imgs = generate_clean(spec, 0, 2)
+        imgs = generate_clean(0, 2, size=16)
         assert imgs.shape == (2, 1, 16, 16)
 
-    def test_shape_count_respects_spec(self):
-        spec = SceneSpec(shapes_min=2, shapes_max=4)
+    def test_shape_count_respects_spec(self, monkeypatch):
+        monkeypatch.setattr(data, "SHAPE_COUNT", (2, 4))
         for i in range(30):
-            shapes = sample_shapes(spec, np.random.default_rng(i))
+            shapes = sample_shapes(np.random.default_rng(i))
             assert 2 <= len(shapes) <= 4
 
     def test_mean_shape_count(self):
         # count ~ uniform{3..6}, so the mean over many scenes sits near 4.5
-        spec = SceneSpec()
-        counts = [len(sample_shapes(spec, np.random.default_rng(i))) for i in range(10_000)]
+        counts = [len(sample_shapes(np.random.default_rng(i))) for i in range(10_000)]
         mean = float(np.mean(counts))
         assert abs(mean - 4.5) < 0.05 * 4.5, mean
 
-    def test_bar_angle_spread(self):
+    def test_bar_angle_spread(self, monkeypatch):
         # angles should cover the circle, not cluster on the axes; a crude
         # chi-square over 8 bins with 400 draws
-        spec = SceneSpec(shapes_min=6, shapes_max=6)
+        monkeypatch.setattr(data, "SHAPE_COUNT", (6, 6))
         angles = []
         i = 0
         while len(angles) < 400:
-            for sh in sample_shapes(spec, np.random.default_rng(10_000 + i)):
+            for sh in sample_shapes(np.random.default_rng(10_000 + i)):
                 if sh["kind"] == "bar":
                     angles.append(sh["angle"] % math.pi)
             i += 1
@@ -80,17 +78,14 @@ class TestScenes:
         assert chi2 < 30.0, counts
 
     def test_render_is_pure(self):
-        spec = SceneSpec()
-        shapes = sample_shapes(spec, np.random.default_rng(4))
-        a = render_scene(spec, shapes)
-        b = render_scene(spec, shapes)
+        shapes = sample_shapes(np.random.default_rng(4))
+        a = render_scene(shapes)
+        b = render_scene(shapes)
         np.testing.assert_array_equal(a, b)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SceneSpec(size=0)
-        with pytest.raises(ValueError):
-            SceneSpec(shapes_min=5, shapes_max=3)
+        with pytest.raises(ValueError, match="size"):
+            generate_clean(0, 2, size=0)
 
 
 class TestDegrade:
@@ -104,12 +99,12 @@ class TestDegrade:
         assert abs(resid.mean()) < 0.001
 
     def test_sigma_zero_is_identity(self):
-        clean = generate_clean(SceneSpec(), 6, 4)
+        clean = generate_clean(6, 4)
         out, _ = degrade(clean, 6, sigma=0.0)
         np.testing.assert_array_equal(out, clean)
 
     def test_noise_deterministic(self):
-        clean = generate_clean(SceneSpec(), 2, 4)
+        clean = generate_clean(2, 4)
         a, _ = degrade(clean, 7, sigma=0.1)
         b, _ = degrade(clean, 7, sigma=0.1)
         assert a.tobytes() == b.tobytes()
@@ -363,7 +358,7 @@ class TestDatasets:
 
 
 # sha256 of data.eqt1 and meta.json for make_dataset(task, 4, seed=9) with the
-# default spec, sigma and mask rate. A change to the scene draws, the
+# default size, sigma and mask rate. A change to the scene draws, the
 # degradation stream or the shard layout shows up here first.
 PINNED_SHARDS = {
     "denoise": ("04b2657b155c5a513f529a254324cda4a6d86886eda64e6c54426673147192c8",

@@ -13,7 +13,7 @@ from eqreg.losses import (
     sample_k,
     total_loss,
 )
-from eqreg.model import build_network, forward_with_tape, init_weights, network_copy
+from eqreg.model import build_network, forward_with_tape, init_weights, network_astype, network_copy
 from eqreg.trainer import objective
 
 from naive_ref import frob_sq_pairs
@@ -111,7 +111,7 @@ class TestLayerLoss:
 
 class TestEquiLoss:
     def net_and_tapes(self, seed, k, size=8):
-        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64), seed)
+        net = init_weights(network_astype(build_network(1, 1, G4, n_hidden=2, depth=3), np.float64), seed)
         x = np.random.default_rng(seed + 100).standard_normal((2, 1, size, size))
         _, tp = forward_with_tape(net, x)
         _, tr = forward_with_tape(net, G4.rotate_image(x, k))
@@ -133,7 +133,7 @@ class TestEquiLoss:
             equi_loss(tp, tr, 1, G4)
 
     def test_single_hidden_layer_reduces_to_layer_loss(self):
-        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=2, dtype=np.float64), 40)
+        net = init_weights(network_astype(build_network(1, 1, G4, n_hidden=2, depth=2), np.float64), 40)
         x = np.random.default_rng(41).standard_normal((1, 1, 6, 6))
         _, tp = forward_with_tape(net, x)
         _, tr = forward_with_tape(net, G4.rotate_image(x, 2))
@@ -199,7 +199,7 @@ class TestEquiGradient:
     @pytest.mark.parametrize("lam", [1.0, 288.0], ids=["mean", "sum"])
     def test_finite_difference_on_weights(self, lam):
         # gradient of the regularizer alone, through both branches
-        net = init_weights(build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64), 30)
+        net = init_weights(network_astype(build_network(1, 1, G4, n_hidden=2, depth=3), np.float64), 30)
         x = np.random.default_rng(31).standard_normal((1, 1, 6, 6))
         cfg = EqRegConfig(lam=lam)
         k = 1
@@ -229,7 +229,7 @@ class TestEquiGradient:
     def test_zero_gradient_when_already_equivariant(self):
         # zero weights give zero features on every layer, so the mismatch and
         # its gradient both vanish
-        net = build_network(1, 1, G4, n_hidden=2, depth=3, dtype=np.float64)
+        net = network_astype(build_network(1, 1, G4, n_hidden=2, depth=3), np.float64)
         x = np.random.default_rng(33).standard_normal((1, 1, 6, 6))
         grads = equi_grads(net, x, 1, EqRegConfig(lam=1.0))
         assert all(not gw.any() and not gb.any() for gw, gb in grads)

@@ -34,7 +34,7 @@ def write_descriptor(path, desc):
 
 
 def small_net(seed=0, depth=3, n_hidden=2, in_ch=1, out_ch=1, residual=True, dtype=np.float32):
-    net = build_network(in_ch, out_ch, G4, n_hidden=n_hidden, depth=depth, residual=residual, dtype=dtype)
+    net = network_astype(build_network(in_ch, out_ch, G4, n_hidden=n_hidden, depth=depth, residual=residual), dtype)
     return init_weights(net, seed)
 
 
@@ -133,7 +133,7 @@ class TestInit:
     def test_uniform_bounds_and_variance(self):
         # uniform(-a, a) has variance a^2 / 3; over 1e5 draws the sample
         # variance lands well within 5%
-        net = init_weights(build_network(48, 48, G4, n_hidden=64, depth=2, kernel_size=3, dtype=np.float64), 11)
+        net = init_weights(network_astype(build_network(48, 48, G4, n_hidden=64, depth=2, kernel_size=3), np.float64), 11)
         w = net.conv_params[0].weight  # 256 * 48 * 9 = 110592 draws
         a = np.sqrt(1.0 / (48 * 9))
         assert abs(w).max() <= a

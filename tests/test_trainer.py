@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from eqreg.data import make_dataset
+from eqreg import trainer
+from eqreg.data import Dataset, make_dataset
 from eqreg.group import RotationGroup
 from eqreg.losses import EqRegConfig, equi_loss, mismatch, output_consistency_loss, total_loss
 from eqreg.model import (
@@ -15,6 +16,7 @@ from eqreg.model import (
     build_network,
     forward_with_tape,
     init_weights,
+    network_astype,
     network_copy,
 )
 from eqreg.tensor import ConvParams, conv2d_forward, relu_forward
@@ -39,7 +41,7 @@ G4 = RotationGroup(4)
 
 
 def tiny_net(seed=0, in_ch=1, out_ch=1, dtype=np.float32, group=G4):
-    net = build_network(in_ch, out_ch, group, n_hidden=2, depth=3, dtype=dtype)
+    net = network_astype(build_network(in_ch, out_ch, group, n_hidden=2, depth=3), dtype)
     return init_weights(net, seed)
 
 
@@ -377,17 +379,14 @@ class TestEvaluate:
         # the input itself gives the sentinel
         net = build_network(1, 1, G4, n_hidden=2, depth=3)
         ds = make_dataset("denoise", 4, seed=24, sigma=0.0)
-        res = evaluate(net, ds)
-        assert res.mean_psnr == 99.0
-        assert res.per_image.shape == (4,)
-        assert abs(res.mean_psnr - res.per_image.mean()) < 1e-12
+        assert evaluate(net, ds) == 99.0
 
     def test_known_noise_level(self):
         net = build_network(1, 1, G4, n_hidden=2, depth=3)
         ds = make_dataset("denoise", 30, seed=25, sigma=0.1)
-        res = evaluate(net, ds)
+        mean_psnr = evaluate(net, ds)
         # identity net leaves sigma^2 of error: 20 dB, loosely
-        assert abs(res.mean_psnr - 20.0) < 0.5
+        assert abs(mean_psnr - 20.0) < 0.5
 
     def test_empty_dataset_rejected(self):
         net = build_network(1, 1, G4, n_hidden=2, depth=3)
@@ -462,9 +461,10 @@ def meter_case(name):
 
 class TestStreamedMeter:
     @pytest.mark.parametrize("name", ["c4-37", "c4-200", "c8-37", "oracle"])
-    def test_batch_64_matches_whole_shard_meter(self, name):
+    def test_batch_64_matches_whole_shard_meter(self, name, monkeypatch):
         net, ds = meter_case(name)
-        rep = measure_equivariance(net, ds, batch_size=64)
+        monkeypatch.setattr(trainer, "METER_BATCH", 64)
+        rep = measure_equivariance(net, ds)
         assert same_report(rep, *measure_equivariance_whole_shard(net, ds, batch_size=64))
 
     @pytest.mark.parametrize("name", ["c4-37", "c8-37", "oracle"])
@@ -476,29 +476,30 @@ class TestStreamedMeter:
         assert same_report(two, one.psnr, one.output_errors, one.feature_errors)
 
     @pytest.mark.parametrize("batch_size", [8, 16, 32])
-    def test_small_batches_stay_close_to_batch_64(self, batch_size):
+    def test_small_batches_stay_close_to_batch_64(self, batch_size, monkeypatch):
         # the 32->1 conv's shifted-GEMM sums depend on the GEMM width, so the
         # output and PSNR move in the last bits; the hidden-map errors held
         # still in every case tried, and share the bound
         for name in ("c4-37", "c8-37"):
             net, ds = meter_case(name)
-            ref = measure_equivariance(net, ds, batch_size=64)
-            rep = measure_equivariance(net, ds, batch_size=batch_size)
+            monkeypatch.setattr(trainer, "METER_BATCH", 64)
+            ref = measure_equivariance(net, ds)
+            monkeypatch.setattr(trainer, "METER_BATCH", batch_size)
+            rep = measure_equivariance(net, ds)
             assert abs(rep.psnr - ref.psnr) <= 1e-8 * abs(ref.psnr)
             for k, e in ref.output_errors.items():
                 assert abs(rep.output_errors[k] - e) <= 1e-8 * abs(e), (name, k)
                 np.testing.assert_allclose(rep.feature_errors[k], ref.feature_errors[k], rtol=1e-8, atol=0)
 
-    def test_evaluate_threads_and_batches(self):
+    def test_evaluate_threads_and_batches(self, monkeypatch):
         net = tiny_net(seed=54)
         ds = make_dataset("denoise", 21, seed=55)
         one = evaluate(net, ds)
         with ThreadPoolExecutor(max_workers=2) as pool:
             two = evaluate(net, ds, executor=pool)
-        assert two.mean_psnr == one.mean_psnr
-        np.testing.assert_array_equal(two.per_image, one.per_image)
-        whole = evaluate(net, ds, batch_size=64)
-        assert whole.mean_psnr == measure_equivariance_whole_shard(net, ds)[0]
+        assert two == one
+        monkeypatch.setattr(trainer, "METER_BATCH", 64)
+        assert evaluate(net, ds) == measure_equivariance_whole_shard(net, ds)[0]
 
     def test_peak_memory_does_not_grow_with_the_dataset(self):
         net = init_weights(build_network(1, 1, G4), seed=56)
@@ -546,6 +547,21 @@ class TestTrainLoop:
         conf = json.loads((tmp_path / "config.json").read_text())
         assert conf["steps"] == 6 and conf["eqreg"]["lam"] == 0.1
         assert conf["out_dir"] == str(tmp_path)
+
+    def test_training_shard_clean_channels_refused_before_writing(self, tmp_path):
+        net = init_weights(build_network(1, 2, G4, n_hidden=1, residual=False), 0)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="training shard has 1 clean channels"):
+            train(net, make_dataset("denoise", 8, seed=1), TrainConfig(steps=2, eval_period=1, out_dir=str(out)))
+        assert not out.exists()
+
+    def test_eval_shard_clean_channels_refused_before_writing(self, tmp_path):
+        ds = make_dataset("denoise", 8, seed=2)
+        two_channel = Dataset(ds.degraded, np.concatenate([ds.clean, ds.clean], axis=1), None, ds.meta)
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="eval shard has 2 clean channels"):
+            train(tiny_net(seed=3), ds, TrainConfig(steps=2, eval_period=1, out_dir=str(out)), eval_data=two_channel)
+        assert not out.exists()
 
     def test_in_memory_run_no_out_dir(self):
         net = tiny_net(seed=38)

@@ -17,7 +17,6 @@ import os
 import subprocess
 import sys
 
-BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 # name -> (task, sigma, group order, n_hidden, threads, output consistency), as in bench/harness.py
 CONFIGS = {
     "denoise-c4": ("denoise", 0.1, 4, 8, 1, False),
@@ -79,9 +78,11 @@ def main(argv):
         print(f"step_faults: no eqreg sources under {src}", file=sys.stderr)
         return 2
     if len(argv) == 2:
-        for var in BLAS_VARS:
-            os.environ[var] = "1"
         sys.path.insert(0, src)
+        from eqreg.cli import _BLAS_VARS  # loads no numpy
+
+        for var in _BLAS_VARS:
+            os.environ[var] = "1"
         measure(argv[1])
         return 0
     for name in CONFIGS:
