@@ -29,17 +29,15 @@ _EXPORTS = {
     "init_weights": "model",
     "network_copy": "model",
     "network_astype": "model",
-    "LiftingConvOracle": "model",
-    "lifting_forward": "model",
+    "lifted_conv": "model",
     "describe_architecture": "model",
     "save_checkpoint": "model",
     "load_checkpoint": "model",
     # losses
     "EqRegConfig": "losses",
     "sample_k": "losses",
-    "layer_loss": "losses",
+    "exact_mismatch": "losses",
     "equi_loss": "losses",
-    "output_consistency_loss": "losses",
     "total_loss": "losses",
     "equi_injections": "losses",
     # data

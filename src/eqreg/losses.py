@@ -3,10 +3,12 @@
 For a group element k, each regularization point contributes
 ||FT_k(h_plain) - h_rot||_F^2 over its element count, where h_plain comes
 from the clean-orientation branch, h_rot from the branch fed the k-rotated
-input, and FT_k is the feature transform. Gradients flow through both branches: the rotated side
-sees -2 D, the plain side the feature-transform adjoint of 2 D. mismatch
-computes that block for any action, so the output-consistency term (spatial
-rotation only) shares it.
+input, and FT_k is the feature transform. Gradients flow through both
+branches: the rotated side sees -2 D, the plain side the feature-transform
+adjoint of 2 D. mismatch computes that block for any action, so the
+output-consistency term (spatial rotation only) shares it. exact_mismatch is
+its exactly-rounded twin for any action, the oracle that the tests compare
+both terms against; equi_loss sums it over the hidden layers.
 """
 
 import math
@@ -43,34 +45,28 @@ def sample_k(group, rng):
     return int(rng.integers(1, group.order))
 
 
-def layer_loss(f_plain, f_rotated, k, group):
-    """Mean squared mismatch at one regularization point.
+def exact_mismatch(plain, rotated, k, act):
+    """||act(plain, k) - rotated||_F^2 over its element count, the exact twin of mismatch.
 
-    Exactly-rounded summation, so the value is invariant under permutations
-    of the elements (in particular under relabeling by another group element).
+    act is feature_transform for a hidden feature, rotate_image for the
+    output. Exactly-rounded summation, so the value is invariant under
+    permutations of the elements (in particular under relabeling by another
+    group element).
     """
-    if f_plain.shape != f_rotated.shape:
-        raise ValueError(f"branch shapes differ: {f_plain.shape} vs {f_rotated.shape}")
-    diff = group.feature_transform(f_plain, k) - f_rotated
+    if plain.shape != rotated.shape:
+        raise ValueError(f"branch shapes differ: {plain.shape} vs {rotated.shape}")
+    diff = act(plain, k) - rotated
     return frobenius_sq(diff) / diff.size
 
 
 def equi_loss(tape_plain, tape_rotated, k, group):
-    """Sum of layer losses over all regularization points of the two tapes."""
+    """Sum of exact_mismatch under the feature transform over all regularization points of the two tapes."""
     if len(tape_plain) != len(tape_rotated):
         raise ValueError(f"tapes record {len(tape_plain)} vs {len(tape_rotated)} points")
     return sum(
-        layer_loss(hp, hr, k, group)
+        exact_mismatch(hp, hr, k, group.feature_transform)
         for hp, hr in zip(tape_plain.hidden, tape_rotated.hidden)
     )
-
-
-def output_consistency_loss(y_plain, y_rotated, k, group):
-    """Rotate-the-output penalty ||rot_k(y_plain) - y_rot||_F^2 per element (spatial only)."""
-    if y_plain.shape != y_rotated.shape:
-        raise ValueError(f"output shapes differ: {y_plain.shape} vs {y_rotated.shape}")
-    diff = group.rotate_image(y_plain, k) - y_rotated
-    return frobenius_sq(diff) / diff.size
 
 
 def total_loss(task, equi, cfg, output_consistency=0.0):

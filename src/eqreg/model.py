@@ -3,9 +3,10 @@
 A network is a list of convs with a relu after every conv but the last, so
 the list alone fixes the conv/relu stack. Hidden activations (post-relu) are
 the regularization points recorded on the tape; the final conv output
-optionally gets a residual add of the leading input channels. Also provides
-a one-layer lifting convolution whose output is exactly equivariant for
-quarter-turn groups, used as an oracle by the tests and demos.
+optionally gets a residual add of the leading input channels. lifted_conv
+builds the one conv whose output is exactly equivariant for quarter-turn
+groups; the tests and demos run it through the same conv2d_forward and
+Network as a zero-loss oracle.
 """
 
 import math
@@ -193,46 +194,16 @@ def network_astype(net, dtype):
     return replace(net, conv_params=convs)
 
 
-# --- lifting convolution oracle -----------------------------------------------
+def lifted_conv(weight, group):
+    """The lifting layer as one conv: output block g correlates with the base kernel rotated by g.
 
-
-@dataclass(frozen=True)
-class LiftingConvOracle:
-    """One conv whose output block g correlates with the base kernel rotated by g.
-
-    For exact groups (order 2 or 4) the lifted feature satisfies the
-    equivariance identity to machine precision, which makes it the reference
-    point for every zero-loss check downstream.
+    weight is the (n, C_in, p, p) base kernel; the result stacks its order
+    rotations with a zero bias in its dtype. For exact groups (order 2 or 4)
+    the lifted feature satisfies the equivariance identity to machine
+    precision, which makes it the reference point for every zero-loss check.
     """
-
-    weight: np.ndarray  # (n, C_in, p, p) base kernel
-    group: RotationGroup
-
-    def __post_init__(self):
-        w = self.weight
-        if w.ndim != 4 or w.shape[2] != w.shape[3] or w.shape[2] % 2 != 1:
-            raise ValueError(f"base kernel must be (n, C_in, p, p) with odd square p, got {w.shape}")
-
-    @property
-    def out_channels(self):
-        return self.weight.shape[0] * self.group.order
-
-    @property
-    def in_channels(self):
-        return self.weight.shape[1]
-
-
-def lifting_forward(oracle, x):
-    """Lift an image to a group feature: block g = conv(x, rotate(W, g))."""
-    x = as_tensor4(x)
-    g = oracle.group
-    n = oracle.weight.shape[0]
-    zero_bias = np.zeros(n, dtype=oracle.weight.dtype)
-    blocks = [
-        conv2d_forward(x, ConvParams(g.rotate_image(oracle.weight, k), zero_bias))
-        for k in range(g.order)
-    ]
-    return np.concatenate(blocks, axis=1)
+    stack = np.concatenate([group.rotate_image(weight, k) for k in range(group.order)])
+    return ConvParams(stack, np.zeros(len(stack), stack.dtype))
 
 
 # --- checkpoint format ----------------------------------------------------------

@@ -19,15 +19,14 @@ from eqreg.data import make_dataset
 from eqreg.group import RotationGroup
 from eqreg.losses import EqRegConfig, equi_loss
 from eqreg.model import (
-    LiftingConvOracle,
     build_network,
     forward_with_tape,
     init_weights,
-    lifting_forward,
+    lifted_conv,
     network_astype,
     network_copy,
 )
-from eqreg.tensor import frobenius_sq
+from eqreg.tensor import conv2d_forward, frobenius_sq
 from eqreg.trainer import TrainConfig, objective, psnr, train
 
 G4 = RotationGroup(4)
@@ -104,11 +103,11 @@ def test_lifting_layer_loss_vanishes():
         n = int(rng.integers(1, 4))
         cin = int(rng.integers(1, 3))
         s = int(rng.integers(4, 13))
-        oracle = LiftingConvOracle(rng.standard_normal((n, cin, 3, 3)), G4)
+        lifted = lifted_conv(rng.standard_normal((n, cin, 3, 3)), G4)
         x = rng.standard_normal((1, cin, s, s))
-        lift = lifting_forward(oracle, x)
+        lift = conv2d_forward(x, lifted)
         for k in range(4):
-            rot = lifting_forward(oracle, G4.rotate_image(x, k))
+            rot = conv2d_forward(G4.rotate_image(x, k), lifted)
             worst = max(worst, frobenius_sq(G4.feature_transform(lift, k) - rot))
     print(f"lifting squared mismatch: worst {worst:.3g} over 100 trials x 4 rotations")
     assert worst < 1e-18

@@ -8,8 +8,7 @@ from eqreg.group import RotationGroup
 from eqreg.losses import (
     EqRegConfig,
     equi_loss,
-    layer_loss,
-    output_consistency_loss,
+    exact_mismatch,
     sample_k,
     total_loss,
 )
@@ -64,18 +63,18 @@ class TestSampleK:
 class TestLayerLoss:
     def test_matching_pair_is_zero(self):
         h = np.random.default_rng(2).standard_normal((2, 8, 6, 6))
-        assert layer_loss(h, G4.feature_transform(h, 1), 1, G4) == 0.0
+        assert exact_mismatch(h, G4.feature_transform(h, 1), 1, G4.feature_transform) == 0.0
 
     def test_k_zero_identical_features(self):
         h = np.random.default_rng(3).standard_normal((1, 4, 5, 5))
-        assert layer_loss(h, h, 0, G4) == 0.0
+        assert exact_mismatch(h, h, 0, G4.feature_transform) == 0.0
 
     def test_matches_pair_oracle_over_numel(self):
         rng = np.random.default_rng(4)
         hp = rng.standard_normal((2, 8, 4, 4))
         hr = rng.standard_normal((2, 8, 4, 4))
         want = frob_sq_pairs(G4.feature_transform(hp, 3), hr) / hp.size
-        got = layer_loss(hp, hr, 3, G4)
+        got = exact_mismatch(hp, hr, 3, G4.feature_transform)
         assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_mean_is_sum_over_numel(self):
@@ -83,7 +82,7 @@ class TestLayerLoss:
         hp = rng.standard_normal((3, 4, 5, 5))
         hr = rng.standard_normal((3, 4, 5, 5))
         s = frob_sq_pairs(G4.feature_transform(hp, 2), hr)
-        m = layer_loss(hp, hr, 2, G4)
+        m = exact_mismatch(hp, hr, 2, G4.feature_transform)
         assert math.isclose(m, s / hp.size, rel_tol=1e-15)
 
     def test_nonnegative(self):
@@ -91,7 +90,7 @@ class TestLayerLoss:
         for _ in range(20):
             hp = rng.standard_normal((1, 4, 3, 3))
             hr = rng.standard_normal((1, 4, 3, 3))
-            assert layer_loss(hp, hr, 1, G4) >= 0.0
+            assert exact_mismatch(hp, hr, 1, G4.feature_transform) >= 0.0
 
     def test_invariant_under_joint_transform(self):
         # applying the same extra transform to both sides preserves the
@@ -99,14 +98,14 @@ class TestLayerLoss:
         rng = np.random.default_rng(7)
         hp = rng.standard_normal((1, 8, 4, 4))
         hr = rng.standard_normal((1, 8, 4, 4))
-        base = layer_loss(hp, hr, 1, G4)
+        base = exact_mismatch(hp, hr, 1, G4.feature_transform)
         # FT_1(FT_1 hp) = FT_2 hp and FT_1 hr shifts the reference the same way
-        moved = layer_loss(G4.feature_transform(hp, 1), G4.feature_transform(hr, 1), 1, G4)
+        moved = exact_mismatch(G4.feature_transform(hp, 1), G4.feature_transform(hr, 1), 1, G4.feature_transform)
         assert math.isclose(base, moved, rel_tol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            layer_loss(np.zeros((1, 4, 4, 4)), np.zeros((1, 4, 5, 5)), 1, G4)
+            exact_mismatch(np.zeros((1, 4, 4, 4)), np.zeros((1, 4, 5, 5)), 1, G4.feature_transform)
 
 
 class TestEquiLoss:
@@ -119,7 +118,7 @@ class TestEquiLoss:
 
     def test_sums_layer_terms(self):
         _, tp, tr = self.net_and_tapes(10, 1)
-        want = sum(layer_loss(a, b, 1, G4) for a, b in zip(tp.hidden, tr.hidden))
+        want = sum(exact_mismatch(a, b, 1, G4.feature_transform) for a, b in zip(tp.hidden, tr.hidden))
         assert math.isclose(equi_loss(tp, tr, 1, G4), want, rel_tol=1e-15)
 
     def test_zero_for_identical_tapes_at_k0(self):
@@ -137,7 +136,7 @@ class TestEquiLoss:
         x = np.random.default_rng(41).standard_normal((1, 1, 6, 6))
         _, tp = forward_with_tape(net, x)
         _, tr = forward_with_tape(net, G4.rotate_image(x, 2))
-        assert equi_loss(tp, tr, 2, G4) == layer_loss(tp.hidden[0], tr.hidden[0], 2, G4)
+        assert equi_loss(tp, tr, 2, G4) == exact_mismatch(tp.hidden[0], tr.hidden[0], 2, G4.feature_transform)
 
     def test_matches_fully_independent_recompute(self):
         # transform and norm both recomputed with the loop-based references,
@@ -156,13 +155,13 @@ class TestEquiLoss:
 class TestOutputConsistency:
     def test_zero_when_output_rotates_exactly(self):
         y = np.random.default_rng(13).standard_normal((2, 1, 6, 6))
-        assert output_consistency_loss(y, G4.rotate_image(y, 1), 1, G4) == 0.0
+        assert exact_mismatch(y, G4.rotate_image(y, 1), 1, G4.rotate_image) == 0.0
 
     def test_constant_images_closed_form(self):
         # rotation leaves constants alone, so the per-element mean is (c1-c2)^2
         y1 = np.full((1, 1, 4, 4), 0.7)
         y2 = np.full((1, 1, 4, 4), 0.2)
-        got = output_consistency_loss(y1, y2, 1, G4)
+        got = exact_mismatch(y1, y2, 1, G4.rotate_image)
         assert math.isclose(got, 0.25, rel_tol=1e-12)
 
     def test_spatial_only_no_channel_shift(self):
@@ -170,7 +169,7 @@ class TestOutputConsistency:
         # channels, so a pure channel shift must register as mismatch
         y = np.random.default_rng(14).standard_normal((1, 4, 4, 4))
         shifted = np.roll(y, 1, axis=1)
-        assert output_consistency_loss(y, shifted, 0, G4) > 0.0
+        assert exact_mismatch(y, shifted, 0, G4.rotate_image) > 0.0
 
 
 class TestTotalLoss:

@@ -5,14 +5,13 @@ import pytest
 
 from eqreg.group import RotationGroup
 from eqreg.model import (
-    LiftingConvOracle,
     Network,
     backprop,
     build_network,
     describe_architecture,
     forward_with_tape,
     init_weights,
-    lifting_forward,
+    lifted_conv,
     load_checkpoint,
     network_astype,
     network_copy,
@@ -152,18 +151,17 @@ class TestLifting:
         # feature transform of the lift equals the lift of the rotated input
         rng = np.random.default_rng(12)
         for _ in range(10):
-            oracle = LiftingConvOracle(rng.standard_normal((2, 1, 3, 3)), G4)
+            lifted = lifted_conv(rng.standard_normal((2, 1, 3, 3)), G4)
             x = rng.standard_normal((2, 1, 8, 8))
-            lift = lifting_forward(oracle, x)
+            lift = conv2d_forward(x, lifted)
             for k in range(4):
                 lhs = G4.feature_transform(lift, k)
-                rhs = lifting_forward(oracle, G4.rotate_image(x, k))
+                rhs = conv2d_forward(G4.rotate_image(x, k), lifted)
                 num = frobenius_sq(lhs - rhs)
                 assert num / max(frobenius_sq(lift), 1e-300) < 1e-20
 
     def test_zero_input(self):
-        oracle = LiftingConvOracle(np.ones((3, 2, 3, 3)), G4)
-        out = lifting_forward(oracle, np.zeros((1, 2, 6, 6)))
+        out = conv2d_forward(np.zeros((1, 2, 6, 6)), lifted_conv(np.ones((3, 2, 3, 3)), G4))
         assert out.shape == (1, 12, 6, 6) and not out.any()
 
     def test_isotropic_kernel_gives_equal_blocks(self):
@@ -171,11 +169,21 @@ class TestLifting:
         # lifted blocks coincide
         w = np.zeros((1, 1, 3, 3))
         w[0, 0] = [[0, 1, 0], [1, 2, 1], [0, 1, 0]]
-        oracle = LiftingConvOracle(w, G4)
         x = np.random.default_rng(13).standard_normal((1, 1, 5, 5))
-        out = lifting_forward(oracle, x)
+        out = conv2d_forward(x, lifted_conv(w, G4))
         for g in range(1, 4):
             np.testing.assert_array_equal(out[:, g], out[:, 0])
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 1, 3, 5), (2, 1, 4, 4)], ids=["rank3", "non-square", "even"])
+    def test_refuses_kernels_a_conv_refuses(self, shape):
+        with pytest.raises(ValueError):
+            lifted_conv(np.ones(shape), G4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_kernel_dtype(self, dtype):
+        lifted = lifted_conv(np.ones((2, 1, 3, 3), dtype), G4)
+        assert lifted.weight.dtype == lifted.bias.dtype == dtype
+        assert lifted.weight.shape == (8, 1, 3, 3) and not lifted.bias.any()
 
 
 class TestBackpropPlumbing:

@@ -9,13 +9,13 @@ import pytest
 from eqreg import trainer
 from eqreg.data import Dataset, make_dataset
 from eqreg.group import RotationGroup
-from eqreg.losses import EqRegConfig, equi_loss, mismatch, output_consistency_loss, total_loss
+from eqreg.losses import EqRegConfig, equi_loss, exact_mismatch, mismatch, total_loss
 from eqreg.model import (
-    LiftingConvOracle,
     Network,
     build_network,
     forward_with_tape,
     init_weights,
+    lifted_conv,
     network_astype,
     network_copy,
 )
@@ -45,16 +45,15 @@ def tiny_net(seed=0, in_ch=1, out_ch=1, dtype=np.float32, group=G4):
     return init_weights(net, seed)
 
 
-def lifted_network(oracle):
-    """Depth-2 residual net whose hidden map is the oracle's lift and whose output is its input.
+def lifted_network(weight):
+    """Depth-2 residual C4 net whose hidden map is the lift of weight and whose output is its input.
 
-    The first conv is the stack of the base kernel's rotations with zero
-    bias; the last conv is zero.
+    The first conv is lifted_conv(weight, G4); the last conv is zero.
     """
-    group, (n, cin, p, _) = oracle.group, oracle.weight.shape
-    stack = np.concatenate([group.rotate_image(oracle.weight, k) for k in range(group.order)])
-    last = ConvParams(np.zeros((cin, len(stack), p, p)), np.zeros(cin))
-    return Network([ConvParams(stack, np.zeros(len(stack))), last], group, n)
+    first = lifted_conv(weight, G4)
+    n, cin, p, _ = weight.shape
+    last = ConvParams(np.zeros((cin, first.out_channels, p, p)), np.zeros(cin))
+    return Network([first, last], G4, n)
 
 
 def tiny_batch(seed, b=4, ch=1, size=8):
@@ -327,6 +326,29 @@ class TestObjectiveReuse:
         assert losses["output_consistency"] == oc_sq / clean.size
 
 
+class TestReportedLossesMatchOracles:
+    # report.csv's equi and output_consistency columns are objective's fast
+    # float64 sums; over the same batch they must agree with the exact oracles
+    @pytest.mark.parametrize("order, reg", [
+        (4, EqRegConfig(lam=0.1)),
+        (8, EqRegConfig(lam=0.1, output_consistency=True)),
+    ], ids=["c4", "c8-oc"])
+    def test_objective_matches_exact_oracles(self, order, reg):
+        group = RotationGroup(order)
+        net = tiny_net(seed=60, group=group)
+        x, clean = tiny_batch(61, b=6)  # chunks of 4 and 2 on the pool
+        out, tp = forward_with_tape(net, x)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for k in range(1, order):
+                out_r, tr = forward_with_tape(net, group.rotate_image(x, k))
+                for executor in (None, pool):
+                    losses = objective(net, (x, clean), k, reg, executor)[0]
+                    assert math.isclose(losses["equi"], equi_loss(tp, tr, k, group), rel_tol=1e-12)
+                    if reg.output_consistency:
+                        oc = exact_mismatch(out, out_r, k, group.rotate_image)
+                        assert math.isclose(losses["output_consistency"], oc, rel_tol=1e-12)
+
+
 class TestFullObjectiveGradient:
     # the "sum" cases scale lam and the oc weight by their terms' element
     # counts (2 images x 8 or 16 channels x 64 pixels, and 2 x 1 x 64), so
@@ -350,7 +372,7 @@ class TestFullObjectiveGradient:
             out, tp = forward_with_tape(n, x)
             out_r, tr = forward_with_tape(n, group.rotate_image(x, k))
             task = float(np.mean(np.square(out - clean)))
-            oc = output_consistency_loss(out, out_r, k, group)
+            oc = exact_mismatch(out, out_r, k, group.rotate_image)
             return total_loss(task, equi_loss(tp, tr, k, group), reg, oc)
 
         _, grads = objective(net, (x, clean), k, reg)
@@ -414,7 +436,7 @@ class TestMeasureEquivariance:
 
     def test_lifting_oracle_feature_error_vanishes(self):
         rng = np.random.default_rng(29)
-        net = lifted_network(LiftingConvOracle(rng.standard_normal((2, 1, 3, 3)), G4))
+        net = lifted_network(rng.standard_normal((2, 1, 3, 3)))
         ds = make_dataset("denoise", 3, seed=30)
         rep = measure_equivariance(net, ds)
         for k, feats in rep.feature_errors.items():
@@ -452,8 +474,8 @@ def same_report(rep, psnr_value, output_errors, feature_errors):
 
 def meter_case(name):
     if name == "oracle":
-        oracle = LiftingConvOracle(np.random.default_rng(50).standard_normal((2, 1, 3, 3)), G4)
-        return lifted_network(oracle), make_dataset("denoise", 37, seed=51)
+        weight = np.random.default_rng(50).standard_normal((2, 1, 3, 3))
+        return lifted_network(weight), make_dataset("denoise", 37, seed=51)
     order, n_hidden, count = {"c4-37": (4, 2, 37), "c4-200": (4, 8, 200), "c8-37": (8, 4, 37)}[name]
     net = init_weights(build_network(1, 1, RotationGroup(order), n_hidden=n_hidden), seed=52)
     return net, make_dataset("denoise", count, seed=53)

@@ -2,7 +2,8 @@
 
     python3 tools/step_faults.py CHECKOUT [CONFIG]
 
-Imports eqreg from CHECKOUT/src and, for each config (or just CONFIG), builds
+Imports eqreg from CHECKOUT/src and the benchmark's workload table from
+CHECKOUT/bench/harness.py. For each workload there (or just CONFIG) it builds
 the benchmark's network and a 64-image training shard, runs WARMUP steps of
 trainer.train_step and then STEPS timed ones, then times one
 trainer.measure_equivariance on a HELDOUT-image shard on the same executor.
@@ -17,20 +18,13 @@ import os
 import subprocess
 import sys
 
-# name -> (task, sigma, group order, n_hidden, threads, output consistency), as in bench/harness.py
-CONFIGS = {
-    "denoise-c4": ("denoise", 0.1, 4, 8, 1, False),
-    "denoise-c4-2thr": ("denoise", 0.1, 4, 8, 2, False),
-    "inpaint-c8-oc": ("inpaint", 0.05, 8, 4, 1, True),
-}
 WARMUP = 20
 STEPS = 130
-BATCH = 8
 COUNT = 64
 HELDOUT = 200
 
 
-def measure(name):
+def measure(harness, name):
     import resource
     import statistics
     import time
@@ -41,22 +35,23 @@ def measure(name):
     from eqreg.losses import EqRegConfig
     from eqreg.model import build_network, init_weights
 
-    task, sigma, order, n_hidden, threads, oc = CONFIGS[name]
-    data = make_dataset(task, COUNT, seed=1, sigma=sigma)
-    heldout = make_dataset(task, HELDOUT, seed=3, sigma=sigma)
+    wl, batch = harness.WORKLOADS[name], harness.BATCH
+    data = make_dataset(wl.task, COUNT, seed=1, sigma=wl.sigma, mask_rate=wl.mask_rate)
+    heldout = make_dataset(wl.task, HELDOUT, seed=3, sigma=wl.sigma, mask_rate=wl.mask_rate)
     inputs, clean = data.inputs(), data.clean
-    net = init_weights(build_network(inputs.shape[1], clean.shape[1], RotationGroup(order), n_hidden=n_hidden), 0)
-    cfg = trainer.TrainConfig(steps=WARMUP + STEPS, batch_size=BATCH, seed=2, threads=threads,
-                              eqreg=EqRegConfig(lam=0.1, output_consistency=oc))
+    net = init_weights(build_network(inputs.shape[1], clean.shape[1], RotationGroup(wl.order), n_hidden=wl.n_hidden,
+                                     depth=harness.DEPTH, kernel_size=harness.KERNEL), 0)
+    cfg = trainer.TrainConfig(steps=WARMUP + STEPS, batch_size=batch, seed=2, threads=wl.threads,
+                              eqreg=EqRegConfig(lam=harness.LAM, output_consistency=wl.output_consistency))
     state = trainer.init_state(net, cfg)
     times = []
-    with trainer.batch_executor(threads) as state.executor:
+    with trainer.batch_executor(wl.threads) as state.executor:
         for i in range(WARMUP + STEPS):
             if i == WARMUP:
                 before = resource.getrusage(resource.RUSAGE_SELF)
-            lo = (i * BATCH) % COUNT
+            lo = (i * batch) % COUNT
             start = time.perf_counter()
-            trainer.train_step(state, (inputs[lo : lo + BATCH], clean[lo : lo + BATCH]), cfg)
+            trainer.train_step(state, (inputs[lo : lo + batch], clean[lo : lo + batch]), cfg)
             times.append(time.perf_counter() - start)
         after = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
@@ -70,22 +65,28 @@ def measure(name):
 
 
 def main(argv):
-    if len(argv) not in (1, 2) or (len(argv) == 2 and argv[1] not in CONFIGS):
-        print(f"usage: {sys.argv[0]} CHECKOUT [{'|'.join(CONFIGS)}]", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print(f"usage: {sys.argv[0]} CHECKOUT [CONFIG]", file=sys.stderr)
         return 1
-    src = os.path.join(os.path.abspath(argv[0]), "src")
-    if not os.path.isfile(os.path.join(src, "eqreg", "__init__.py")):
-        print(f"step_faults: no eqreg sources under {src}", file=sys.stderr)
+    checkout = os.path.abspath(argv[0])
+    src, bench = os.path.join(checkout, "src"), os.path.join(checkout, "bench")
+    if not (os.path.isfile(os.path.join(src, "eqreg", "__init__.py")) and os.path.isfile(os.path.join(bench, "harness.py"))):
+        print(f"step_faults: no eqreg sources or bench/harness.py under {checkout}", file=sys.stderr)
         return 2
-    if len(argv) == 2:
-        sys.path.insert(0, src)
-        from eqreg.cli import _BLAS_VARS  # loads no numpy
+    sys.path[:0] = [src, bench]
+    from eqreg.cli import _BLAS_VARS  # loads no numpy
 
-        for var in _BLAS_VARS:
-            os.environ[var] = "1"
-        measure(argv[1])
+    for var in _BLAS_VARS:  # before harness loads numpy
+        os.environ[var] = "1"
+    import harness
+
+    if len(argv) == 2:
+        if argv[1] not in harness.WORKLOADS:
+            print(f"usage: {sys.argv[0]} CHECKOUT [{'|'.join(harness.WORKLOADS)}]", file=sys.stderr)
+            return 1
+        measure(harness, argv[1])
         return 0
-    for name in CONFIGS:
+    for name in harness.WORKLOADS:
         status = subprocess.call([sys.executable, os.path.abspath(__file__), argv[0], name])
         if status:
             return status
