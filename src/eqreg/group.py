@@ -8,7 +8,7 @@ output is the rotated block (g - k) mod t of the input.
 
 Quarter-turn angles are exact axis permutations. All other angles go through
 a cached sparse bilinear resampling matrix (float64, zero outside the grid);
-its adjoint is the exact matrix transpose.
+its adjoint applies the transposed view of the same matrix.
 """
 
 import functools
@@ -20,11 +20,13 @@ import numpy as np
 from .tensor import as_tensor4
 
 
-def _build_plan(side, theta):
-    """Sparse (side^2, side^2) bilinear rotation about the grid center."""
+@functools.cache
+def _plan(side, order, k):
+    """CSR (side^2, side^2) bilinear rotation k of C_order about the grid center."""
     import scipy.sparse as sp  # only non-quarter-turn rotations need it; it is slow to import
 
     c = (side - 1) / 2.0
+    theta = 2.0 * math.pi * k / order
     cos, sin = math.cos(theta), math.sin(theta)
     idx = np.arange(side, dtype=np.float64)
     u = (idx - c)[:, None]  # output row offset
@@ -51,18 +53,10 @@ def _build_plan(side, theta):
         rows.append(rows_out[ok])
         cols.append((yy[ok] * side + xx[ok]).astype(np.int64))
         vals.append(wgt[ok])
-    plan = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(side * side, side * side),
     ).tocsr()
-    return plan
-
-
-@functools.cache
-def _plan_pair(side, order, k):
-    """(csr, csr_transpose) for rotation k of C_order on a side x side grid."""
-    plan = _build_plan(side, 2.0 * math.pi * k / order)
-    return plan, plan.T.tocsr()
 
 
 def _apply_plan(plan, x):
@@ -123,8 +117,8 @@ class RotationGroup:
         quarters, rem = divmod(4 * k, self.order)
         if rem == 0:
             return np.ascontiguousarray(np.rot90(x, -quarters if adjoint else quarters, axes=(-2, -1)))
-        plan, plan_t = _plan_pair(x.shape[-1], self.order, k)
-        return _apply_plan(plan_t if adjoint else plan, x)
+        plan = _plan(x.shape[-1], self.order, k)
+        return _apply_plan(plan.T if adjoint else plan, x)
 
     def cyclic_shift(self, f, m):
         """Shift channel blocks so out block g = in block (g - m) mod order."""

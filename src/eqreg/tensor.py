@@ -12,18 +12,20 @@ When the output is narrower than the input, building the columns would cost
 more than the GEMM, so the kernel picked by shape instead sums p*p GEMMs over
 shifted slices of the zero-padded input laid flat per channel.
 
-Columns: each thread keeps its im2col column buffers, zeroed once and keyed
-by (shape, dtype). Every build writes the same cells, so the padding border
+Columns: each thread keeps one zeroed im2col buffer per layer, that is per
+(input channels, kernel size, dtype), and replaces it when the batch or
+image size changes. Every build writes the same cells, so the padding border
 stays zero and is never written again. A buffer never leaves this module:
 every array a kernel returns is freshly allocated, because tapes and outputs
-outlive the next call. Each thread keeps at most _KEEP_BYTES of columns;
-shapes that do not fit are allocated per call.
+outlive the next call. Columns larger than _HEAP_BLOCK are allocated per call
+and not kept.
 
-Heap: on glibc, importing this module raises malloc's mmap threshold to 16
-MiB and its trim threshold to 32 MiB for the whole process, so every other
-large temporary (padded inputs, GEMM outputs, group-op copies, gradient
-sums) is reused from the heap instead of being returned to the kernel and
-faulted in again on every call. Other C libraries are left alone.
+Heap: on glibc, importing this module raises malloc's mmap threshold to
+_HEAP_BLOCK (16 MiB) and its trim threshold to twice that for the whole
+process, so every other large temporary (padded inputs, GEMM outputs,
+group-op copies, gradient sums) is reused from the heap instead of being
+returned to the kernel and faulted in again on every call. Other C libraries
+are left alone.
 """
 
 import ctypes
@@ -36,15 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# per thread: a pool thread's 4-image step columns plus its 8-image meter columns,
-# 13.92 MiB for the default network
-_KEEP_BYTES = 14 << 20
+_HEAP_BLOCK = 16 << 20  # largest block the heap keeps, and the largest kept column buffer
 _local = threading.local()
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
 
 def _keep_freed_blocks():
-    """Have glibc keep freed blocks below 16 MiB in the heap; a no-op on any other libc."""
+    """Have glibc keep freed blocks below _HEAP_BLOCK in the heap; a no-op on any other libc."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
             return
@@ -53,8 +53,8 @@ def _keep_freed_blocks():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BLOCK)
 
 
 _keep_freed_blocks()
@@ -106,22 +106,22 @@ class ConvParams:
 
 
 def _kept():
-    """This thread's kept im2col column buffers, by (shape, dtype)."""
+    """This thread's kept im2col column buffers, by (input channels, kernel size, dtype)."""
     return _local.__dict__.setdefault("kept", {})
 
 
 def _columns(shape, dtype):
-    """This thread's zero-initialised column buffer for (shape, dtype).
+    """This thread's zero-initialised (C, p, p, B, H, W) column buffer.
 
-    Buffers are kept, first come first kept, while the thread's total fits
-    _KEEP_BYTES; a key that does not fit gets a fresh buffer on every call.
+    One buffer is kept per (C, p, dtype); a new shape replaces it if it fits
+    in _HEAP_BLOCK bytes, and a larger one gets a fresh buffer on every call.
     """
     kept = _kept()
-    key = (shape, np.dtype(dtype))
+    key = (shape[0], shape[1], np.dtype(dtype))
     buf = kept.get(key)
-    if buf is None:
+    if buf is None or buf.shape != shape:
         buf = np.zeros(shape, dtype)
-        if sum(a.nbytes for a in kept.values()) + buf.nbytes <= _KEEP_BYTES:
+        if buf.nbytes <= _HEAP_BLOCK:
             kept[key] = buf
     return buf
 

@@ -7,9 +7,10 @@ objective computes. Reported losses use fast float64 accumulation; the
 exactly-rounded variants live in eqreg.losses. On a thread pool a step splits
 its batch into STEP_CHUNK-image chunks, whatever the pool's size, and
 combines their partial sums in chunk order; without a pool it runs the batch
-whole. The meter and evaluate stream METER_BATCH-image batches through the
-same helper, on the pool or inline, so their reports ignore the thread count.
-cfg.threads only sizes the pool."""
+whole. The meter and evaluate stream STEP_CHUNK-image batches through the
+same helper, on the pool or inline, so their reports ignore the thread count
+and a pool thread's convs see one batch size. cfg.threads only sizes the
+pool."""
 
 import functools
 import json
@@ -27,8 +28,7 @@ from .model import add_grads, forward_with_tape, backprop, save_checkpoint
 from .tensor import ConvParams
 
 
-STEP_CHUNK = 4  # images per train_step chunk on a pool, whatever its size
-METER_BATCH = 8  # images per meter and eval batch; smaller batches ran faster and peak lower
+STEP_CHUNK = 4  # images per train_step chunk on a pool, whatever its size, and per meter batch
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8  # added outside the sqrt
@@ -277,7 +277,7 @@ class EquivReport:
 
 
 def _meter_columns(net, dataset, ks, executor):
-    """Per-image columns over the dataset, computed in METER_BATCH-image batches, joined in batch order.
+    """Per-image columns over the dataset, computed in STEP_CHUNK-image batches, joined in batch order.
 
     Column 0 holds the PSNRs against the clean stack. Then come the norms of
     the output and of each hidden map, then for each k in ks the norms of
@@ -299,7 +299,7 @@ def _meter_columns(net, dataset, ks, executor):
                      for h, r in zip(tape.hidden, rot_tape.hidden)]
         return cols
 
-    parts = _map_slices(batch, len(inputs), METER_BATCH, executor)
+    parts = _map_slices(batch, len(inputs), STEP_CHUNK, executor)
     return [np.concatenate(col) for col in zip(*parts)]
 
 

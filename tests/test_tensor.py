@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from eqreg import tensor
+from eqreg.data import make_dataset
+from eqreg.group import RotationGroup
+from eqreg.model import build_network, init_weights
 from eqreg.tensor import (
     ConvParams,
     EqtFormatError,
@@ -22,6 +25,8 @@ from eqreg.tensor import (
     save_tensor,
     write_tensor,
 )
+
+from eqreg.trainer import measure_equivariance
 
 from naive_ref import central_difference, conv2d_loops, rel_err
 
@@ -284,11 +289,12 @@ class TestWorkspaces:
 
         after_small, after_large = in_fresh_thread(run)
         assert after_small > 0
-        assert after_large == after_small <= tensor._KEEP_BYTES
+        assert after_large == after_small <= tensor._HEAP_BLOCK
 
     def test_meter_columns_kept_after_step_chunks(self):
-        # a pool thread runs 4-image step chunks of the default network's
-        # convs, then an 8-image meter forward: both sets of columns fit
+        # a thread runs 4-image step chunks of the default network's convs,
+        # then 8-image forwards: each layer's 8-image columns replace its
+        # 4-image ones, and all of them are kept
         rng = np.random.default_rng(44)
         layers = [rand_params(rng, cout, cin, 3, np.float32) for cin, cout in ((1, 32), (32, 32), (32, 1))]
 
@@ -303,8 +309,29 @@ class TestWorkspaces:
             return [(buf.shape, buf.dtype, buf.nbytes) for buf in kept_buffers()]
 
         kept = in_fresh_thread(run)
-        assert ((32, 3, 3, 8, 32, 32), np.float32) in [(shape, dtype) for shape, dtype, _ in kept]
-        assert sum(nbytes for _, _, nbytes in kept) <= tensor._KEEP_BYTES
+        assert sorted(shape for shape, _, _ in kept) == [(1, 3, 3, 8, 32, 32), (32, 3, 3, 8, 32, 32)]
+        assert all(nbytes <= tensor._HEAP_BLOCK for _, _, nbytes in kept)
+
+    def test_order8_meter_reuses_step_chunk_columns(self):
+        # a pool thread of an order-8 inpaint run: 4-image step chunks of its
+        # three convs, then the meter on the same thread, which must find
+        # every column buffer it needs already kept and keep no other
+        net = init_weights(build_network(2, 1, RotationGroup(8), n_hidden=4), seed=45)
+        ds = make_dataset("inpaint", 8, seed=46)
+        rng = np.random.default_rng(47)
+
+        def run():
+            for params in net.conv_params:
+                x = rng.standard_normal((4, params.in_channels, 32, 32)).astype(np.float32)
+                g = rng.standard_normal((4, params.out_channels, 32, 32)).astype(np.float32)
+                conv_pass(x, params, g)
+            before = kept_buffers()
+            measure_equivariance(net, ds)
+            return before, kept_buffers()
+
+        before, after = in_fresh_thread(run)
+        assert [buf.shape[:2] for buf in before] == [(2, 3), (32, 3), (1, 3)]
+        assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
 
 
 class TestRelu:
