@@ -4,7 +4,7 @@ exact Frobenius accumulation, and the EQT1 binary tensor format.
 Shape convention throughout the package: (B, C, H, W), C-order, float32 for
 training and float64 for numeric checks.
 
-Convolution is one GEMM over K-major columns: im2col lays the unfolded input
+Convolution is a GEMM over K-major columns: im2col lays the unfolded input
 out as (C*p*p, B*H*W), one row per (channel, kernel offset), so building it
 copies whole image rows and both the forward and the weight gradient read it
 in place. Only the (C_out, B*H*W) GEMM output is transposed back to NCHW.
@@ -17,8 +17,12 @@ Columns: each thread keeps one zeroed im2col buffer per layer, that is per
 image size changes. Every build writes the same cells, so the padding border
 stays zero and is never written again. A buffer never leaves this module:
 every array a kernel returns is freshly allocated, because tapes and outputs
-outlive the next call. Columns larger than _HEAP_BLOCK are allocated per call
-and not kept.
+outlive the next call. The forward and grad_x run a batch whose columns
+would exceed _HEAP_BLOCK in consecutive slices of as many images as fit, so
+each slice's columns go in the kept buffer. Columns larger than _HEAP_BLOCK
+are allocated per call and not kept in two cases: the weight gradient of such
+a batch, which sums over the whole batch in one GEMM, and a single image
+whose columns alone exceed _HEAP_BLOCK.
 
 Heap: on glibc, importing this module raises malloc's mmap threshold to
 _HEAP_BLOCK (16 MiB) and its trim threshold to twice that for the whole
@@ -115,6 +119,8 @@ def _columns(shape, dtype):
 
     One buffer is kept per (C, p, dtype); a new shape replaces it if it fits
     in _HEAP_BLOCK bytes, and a larger one gets a fresh buffer on every call.
+    Only the weight gradient of a batch whose columns exceed _HEAP_BLOCK, and
+    a single image whose columns alone do, ask for a larger one.
     """
     kept = _kept()
     key = (shape[0], shape[1], np.dtype(dtype))
@@ -171,12 +177,21 @@ def _correlate(x, w):
 
     A narrow output (O < C, such as a network's last layer) sums p*p GEMMs on
     shifted slices of the padded input, which reads far less than building
-    the C*p*p columns; otherwise one GEMM runs on the K-major columns.
+    the C*p*p columns; otherwise GEMMs run on the K-major columns of
+    consecutive slices of as many images as fit in _HEAP_BLOCK bytes of
+    columns (at least one), each writing its own columns of the output. The
+    BLAS computes an output column the same way whatever the GEMM's number of
+    columns, so the bits do not depend on the slicing (the tests check it).
     """
     b, c, h, wd = x.shape
     o, _, p, _ = w.shape
     if o >= c:
-        return (w.reshape(o, -1) @ _im2col(x, p)).reshape(o, b, h, wd)
+        size = max(1, _HEAP_BLOCK // max(1, c * p * p * h * wd * x.dtype.itemsize))
+        out = np.empty((o, b * h * wd), np.result_type(w, x))
+        for lo in range(0, b, size):
+            hi = min(b, lo + size)
+            np.matmul(w.reshape(o, -1), _im2col(x[lo:hi], p), out=out[:, lo * h * wd : hi * h * wd])
+        return out.reshape(o, b, h, wd)
     flat, n, offsets = _pad_flat(x, p)
     taps = w.reshape(o, c, p * p)
     out = sum(taps[:, :, k] @ flat[:, off : off + n] for k, off in enumerate(offsets))
@@ -192,7 +207,7 @@ def _weight_grad(x, g, p):
     b, c, h, wd = x.shape
     o = g.shape[1]
     if o >= c:
-        return (g.transpose(1, 0, 2, 3).reshape(o, -1) @ _im2col(x, p).T).reshape(o, c, p, p)
+        return (_im2col(x, p) @ g.transpose(1, 0, 2, 3).reshape(o, -1).T).T.reshape(o, c, p, p)
     flat, n, offsets = _pad_flat(x, p)
     g_flat = np.zeros((o, b, h + p - 1, wd + p - 1), g.dtype)
     g_flat[:, :, :h, :wd] = g.transpose(1, 0, 2, 3)

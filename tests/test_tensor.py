@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -290,6 +291,45 @@ class TestWorkspaces:
         after_small, after_large = in_fresh_thread(run)
         assert after_small > 0
         assert after_large == after_small <= tensor._HEAP_BLOCK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_batch_matches_per_batch_calls(self, dtype):
+        # 64 images run as column-bounded slices of 14 + ... + 8 (float32) or
+        # 7 + ... + 1 (float64); the forward and grad_x must keep the bits
+        # of 8-image calls
+        rng = np.random.default_rng(48)
+        params = rand_params(rng, 32, 32, 3, dtype)
+        x = rng.standard_normal((64, 32, 32, 32)).astype(dtype)
+        g = rng.standard_normal((64, 32, 32, 32)).astype(dtype)
+        per_image = 32 * 3 * 3 * 32 * 32 * x.itemsize
+        assert len(x) * per_image > tensor._HEAP_BLOCK and len(x) % (tensor._HEAP_BLOCK // per_image)
+
+        def run():
+            whole = conv2d_forward(x, params), conv2d_backward(x, params, g)[0]
+            parts = [(conv2d_forward(x[i : i + 8], params), conv2d_backward(x[i : i + 8], params, g[i : i + 8])[0])
+                     for i in range(0, len(x), 8)]
+            return whole, [np.concatenate(arrays) for arrays in zip(*parts)]
+
+        whole, parts = in_fresh_thread(run)
+        assert same_bits(whole, parts)
+
+    def test_large_batch_forward_peak_memory(self):
+        # columns are built one slice of at most _HEAP_BLOCK bytes at a time,
+        # never as the whole batch's 75.5 MB at once
+        rng = np.random.default_rng(49)
+        params = rand_params(rng, 32, 32, 3, np.float32)
+        x = rng.standard_normal((64, 32, 32, 32)).astype(np.float32)
+
+        def run():
+            tracemalloc.start()
+            try:
+                out = conv2d_forward(x, params)
+                return out.nbytes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        out_bytes, peak = in_fresh_thread(run)
+        assert peak <= tensor._HEAP_BLOCK + 3 * out_bytes
 
     def test_meter_columns_kept_after_step_chunks(self):
         # a thread runs 4-image step chunks of the default network's convs,

@@ -9,8 +9,9 @@ trainer.train_step and then STEPS timed ones, then times one
 trainer.measure_equivariance on a HELDOUT-image shard on the same executor.
 It prints one line per config: the step p50, the minor page faults and
 system CPU time per timed step, both from getrusage deltas over the timed
-steps, and the meter's images per second. Each config runs in its own
-process, so one config's heap does not carry into the next. BLAS is pinned
+steps, the meter's images per second, and the process's peak RSS (ru_maxrss)
+at the end. Each config runs in its own process, so one config's heap and
+peak RSS do not carry into the next. BLAS is pinned
 to one thread, as the eqreg CLI and the benchmark pin it.
 """
 
@@ -60,8 +61,9 @@ def measure(harness, name):
     p50 = 1e3 * statistics.median(times[WARMUP:])
     faults = (after.ru_minflt - before.ru_minflt) / STEPS
     sys_ms = 1e3 * (after.ru_stime - before.ru_stime) / STEPS
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
     print(f"{name:16s} step p50 {p50:6.1f} ms  minor faults/step {faults:7.1f}  sys/step {sys_ms:5.2f} ms"
-          f"  meter {HELDOUT / meter_s:5.0f} images/s", flush=True)
+          f"  meter {HELDOUT / meter_s:5.0f} images/s  peak RSS {peak_mb:6.1f} MB", flush=True)
 
 
 def main(argv):
