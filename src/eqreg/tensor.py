@@ -28,8 +28,13 @@ Heap: on glibc, importing this module raises malloc's mmap threshold to
 _HEAP_BLOCK (16 MiB) and its trim threshold to twice that for the whole
 process, so every other large temporary (padded inputs, GEMM outputs,
 group-op copies, gradient sums) is reused from the heap instead of being
-returned to the kernel and faulted in again on every call. Other C libraries
-are left alone.
+returned to the kernel and faulted in again on every call. It also caps
+malloc at one arena, so batch threads take their blocks from the same heap as
+the main thread instead of each growing a heap of its own next to the blocks
+the main thread freed. A thread that allocated before the import keeps its
+own arena, so the import must come before any thread pool starts; the CLI,
+trainer.train and the benchmark all import it first. Other C libraries are
+left alone.
 """
 
 import ctypes
@@ -44,11 +49,16 @@ import numpy as np
 
 _HEAP_BLOCK = 16 << 20  # largest block the heap keeps, and the largest kept column buffer
 _local = threading.local()
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc's mallopt parameter numbers
 
 
 def _keep_freed_blocks():
-    """Have glibc keep freed blocks below _HEAP_BLOCK in the heap; a no-op on any other libc."""
+    """Have glibc keep freed blocks below _HEAP_BLOCK in one heap for all threads.
+
+    A no-op on any other libc. The one-arena cap binds only threads that have
+    not yet allocated: one that already has an arena of its own keeps it, so
+    this must run before any other thread allocates.
+    """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
             return
@@ -59,6 +69,7 @@ def _keep_freed_blocks():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK)
     mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BLOCK)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_blocks()
@@ -157,19 +168,21 @@ def _im2col(x, p):
 def _pad_flat(x, p):
     """Zero-pad to same size and lay the images end to end, per channel.
 
-    Returns (flat, n, offsets): flat is (C, n + H'*W') with n = B*H'*W' and
-    H' = H+2r, W' = W+2r. For kernel tap (u, v) at offsets[u*p + v],
+    Returns (flat, n, offsets): flat is (C, n + offsets[-1]) with n = B*H'*W'
+    and H' = H+2r, W' = W+2r. For kernel tap (u, v) at offsets[u*p + v],
     flat[:, off : off + n] is the padded input shifted by that tap, read at
     every padded position; the positions with i < H and j < W are the 'same'
-    convolution's outputs, and the zero image at the end keeps the last
-    image's slices in bounds.
+    convolution's outputs, and the zero tail of the largest tap offset keeps
+    the last image's slices in bounds, images of zero height or width too.
     """
     b, c, h, w = x.shape
     r = (p - 1) // 2
     hp, wp = h + 2 * r, w + 2 * r
-    padded = np.zeros((c, b + 1, hp, wp), x.dtype)
-    padded[:, :b, r : r + h, r : r + w] = x.transpose(1, 0, 2, 3)
-    return padded.reshape(c, -1), b * hp * wp, [u * wp + v for u in range(p) for v in range(p)]
+    n = b * hp * wp
+    offsets = [u * wp + v for u in range(p) for v in range(p)]
+    flat = np.zeros((c, n + offsets[-1]), x.dtype)
+    flat[:, :n].reshape(c, b, hp, wp)[:, :, r : r + h, r : r + w] = x.transpose(1, 0, 2, 3)
+    return flat, n, offsets
 
 
 def _correlate(x, w):

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -184,6 +186,19 @@ class TestConvBackward:
         none, gw_only, gb_only = conv2d_backward(x, params, g, need_grad_x=False)
         assert gx is not None and none is None
         assert gw_only.tobytes() == gw.tobytes() and gb_only.tobytes() == gb.tobytes()
+
+    # 2 -> 4 builds im2col columns; 4 -> 2 sums shifted slices
+    @pytest.mark.parametrize("c,cout", [(2, 4), (4, 2)], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 5), (2, 5, 0)])
+    def test_zero_size_images(self, c, cout, shape):
+        b, h, w = shape
+        x = np.zeros((b, c, h, w))
+        params = ConvParams(np.ones((cout, c, 3, 3)), np.ones(cout))
+        out = conv2d_forward(x, params)
+        gx, gw, gb = conv2d_backward(x, params, np.zeros(out.shape))
+        assert out.shape == (b, cout, h, w) and gx.shape == x.shape
+        assert gw.shape == params.weight.shape and not gw.any()
+        assert gb.shape == (cout,) and not gb.any()
 
     def test_grad_out_shape_rejected(self):
         rng = np.random.default_rng(4)
@@ -372,6 +387,43 @@ class TestWorkspaces:
         before, after = in_fresh_thread(run)
         assert [buf.shape[:2] for buf in before] == [(2, 3), (32, 3), (1, 3)]
         assert len(after) == len(before) and all(a is b for a, b in zip(after, before))
+
+
+def _glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Frees 24 MiB of heap blocks on the main thread, then allocates as much on a
+# pool thread and prints how far the peak RSS (KiB) rose during the second half.
+_HEAP_PROBE = """
+import resource
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+import eqreg.tensor
+
+def touch_and_free():
+    blocks = [np.ones(8 << 20, np.uint8) for _ in range(3)]
+    del blocks
+
+touch_and_free()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with ThreadPoolExecutor(max_workers=1) as pool:
+    pool.submit(touch_and_free).result()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the shared heap is a glibc setting")
+def test_pool_thread_reuses_main_thread_heap():
+    # a thread with an arena of its own would fault in 24 MiB more
+    src = os.path.dirname(os.path.dirname(tensor.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 4 << 10
 
 
 class TestRelu:

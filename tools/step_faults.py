@@ -4,15 +4,19 @@
 
 Imports eqreg from CHECKOUT/src and the benchmark's workload table from
 CHECKOUT/bench/harness.py. For each workload there (or just CONFIG) it builds
-the benchmark's network and a 64-image training shard, runs WARMUP steps of
-trainer.train_step and then STEPS timed ones, then times one
-trainer.measure_equivariance on a HELDOUT-image shard on the same executor.
+the benchmark's network and a 64-image training shard, and first warms up on
+the main thread as the benchmark's set-up does: two batch-BATCH steps on a
+copy of the network and one 64-image model.forward_with_tape. Then, on the
+config's executor, it runs WARMUP steps of trainer.train_step and STEPS timed
+ones, and times one trainer.measure_equivariance on a HELDOUT-image shard.
 It prints one line per config: the step p50, the minor page faults and
 system CPU time per timed step, both from getrusage deltas over the timed
 steps, the meter's images per second, and the process's peak RSS (ru_maxrss)
-at the end. Each config runs in its own process, so one config's heap and
-peak RSS do not carry into the next. BLAS is pinned
-to one thread, as the eqreg CLI and the benchmark pin it.
+at the end. Because the main thread has freed the warm-up's blocks before the
+pool starts, the peak RSS of a threaded config shows whether pool threads
+reuse the main thread's heap. Each config runs in its own process, so one
+config's heap and peak RSS do not carry into the next. BLAS is pinned to one
+thread, as the eqreg CLI and the benchmark pin it.
 """
 
 import os
@@ -34,7 +38,7 @@ def measure(harness, name):
     from eqreg.data import make_dataset
     from eqreg.group import RotationGroup
     from eqreg.losses import EqRegConfig
-    from eqreg.model import build_network, init_weights
+    from eqreg.model import build_network, forward_with_tape, init_weights, network_copy
 
     wl, batch = harness.WORKLOADS[name], harness.BATCH
     data = make_dataset(wl.task, COUNT, seed=1, sigma=wl.sigma, mask_rate=wl.mask_rate)
@@ -44,6 +48,11 @@ def measure(harness, name):
                                      depth=harness.DEPTH, kernel_size=harness.KERNEL), 0)
     cfg = trainer.TrainConfig(steps=WARMUP + STEPS, batch_size=batch, seed=2, threads=wl.threads,
                               eqreg=EqRegConfig(lam=harness.LAM, output_consistency=wl.output_consistency))
+    warm = trainer.init_state(network_copy(net), cfg)
+    for lo in (0, batch):
+        trainer.train_step(warm, (inputs[lo : lo + batch], clean[lo : lo + batch]), cfg)
+    forward_with_tape(net, heldout.inputs()[:64])
+    del warm
     state = trainer.init_state(net, cfg)
     times = []
     with trainer.batch_executor(wl.threads) as state.executor:
